@@ -171,14 +171,14 @@ let table2 () =
             ]
           | `Memory_out -> [ "*"; "*"; "*"; "*" ]
           | `Failed d ->
-            failwith ("DF check failed: " ^ Checker.Diagnostics.to_string d)
+            failwith ("DF check failed: " ^ Proof.Diagnostics.to_string d)
         in
         let bf_cells =
           match run_checker (fun ~meter f src -> Checker.Bf.check ~meter f src) p with
           | `Ok (_, seconds, peak) -> [ fmt_f ~decimals:3 seconds; kb peak ]
           | `Memory_out -> [ "*"; "*" ]
           | `Failed d ->
-            failwith ("BF check failed: " ^ Checker.Diagnostics.to_string d)
+            failwith ("BF check failed: " ^ Proof.Diagnostics.to_string d)
         in
         let hybrid_cells =
           match run_checker (fun ~meter f src -> Checker.Hybrid.check ~meter f src) p with
@@ -186,7 +186,7 @@ let table2 () =
           | `Memory_out -> [ "*"; "*" ]
           | `Failed d ->
             failwith
-              ("Hybrid check failed: " ^ Checker.Diagnostics.to_string d)
+              ("Hybrid check failed: " ^ Proof.Diagnostics.to_string d)
         in
         base @ df_cells @ bf_cells @ hybrid_cells)
       (Lazy.force prepared_suite)
@@ -373,7 +373,7 @@ let proofshape () =
         with
         | Error d ->
           failwith
-            (p.fam.name ^ ": " ^ Checker.Diagnostics.to_string d)
+            (p.fam.name ^ ": " ^ Proof.Diagnostics.to_string d)
         | Ok s ->
           [
             p.fam.name;
@@ -515,7 +515,7 @@ let par_sweep instances =
               match Checker.Bf.check f src with
               | Ok r -> r
               | Error d ->
-                failwith (name ^ ": bf: " ^ Checker.Diagnostics.to_string d))
+                failwith (name ^ ": bf: " ^ Proof.Diagnostics.to_string d))
         in
         let par jobs =
           wall_median (fun () ->
@@ -524,7 +524,7 @@ let par_sweep instances =
               | Error d ->
                 failwith
                   (Printf.sprintf "%s: par j%d: %s" name jobs
-                     (Checker.Diagnostics.to_string d)))
+                     (Proof.Diagnostics.to_string d)))
         in
         let p1, s1 = par 1 in
         let p2, s2 = par 2 in
@@ -701,7 +701,7 @@ let trim_bench instances =
                 failwith
                   (Printf.sprintf "%s/%s: bf on %s trace: %s" name fmt_name
                      label
-                     (Checker.Diagnostics.to_string d))
+                     (Proof.Diagnostics.to_string d))
             in
             let _, orig_s =
               timed_median (fun () -> recheck "original" trace)
@@ -810,7 +810,7 @@ let hint_bench instances =
               | Error d ->
                 failwith
                   (Printf.sprintf "%s/%s: %s: %s" name fmt_name label
-                     (Checker.Diagnostics.to_string d))
+                     (Proof.Diagnostics.to_string d))
             in
             let bf, bf_s =
               timed_median (fun () -> check "bf" Checker.Bf.check trace)
@@ -957,7 +957,7 @@ let simplify_bench instances =
                 failwith
                   (Printf.sprintf "%s/%s: bf on %s trace: %s" fam.name
                      fmt_name label
-                     (Checker.Diagnostics.to_string d))
+                     (Proof.Diagnostics.to_string d))
             in
             let trace_off, solve_off = timed_median (run ~pre:false) in
             let _, check_off =
@@ -974,7 +974,7 @@ let simplify_bench instances =
                failwith
                  (Printf.sprintf "%s/%s: df on pre trace: %s" fam.name
                     fmt_name
-                    (Checker.Diagnostics.to_string d))
+                    (Proof.Diagnostics.to_string d))
              | Ok r ->
                let n = Sat.Cnf.nclauses f in
                List.iter

@@ -401,7 +401,7 @@ type mode = {
     (check_call ->
     Sat.Cnf.t ->
     Trace.Reader.source ->
-    (Checker.Report.t, Checker.Diagnostics.failure) result)
+    (Checker.Report.t, Proof.Diagnostics.failure) result)
     option;
       (* None: the mode only exists for `validate` *)
   m_strategy : jobs:int -> window:int -> Pipeline.Validate.strategy;
@@ -740,7 +740,6 @@ let check_cmd =
       in
       (match checked with
        | Ok report ->
-         Checker.Report.observe report;
          (match lint_stream with
           | Some t ->
             let lint = Analysis.Lint.stream_finish t in
@@ -765,16 +764,16 @@ let check_cmd =
          end;
          print_endline "s VERIFIED UNSATISFIABLE";
          exit 0
-       | Error Checker.Diagnostics.Hints_unsupported ->
+       | Error Proof.Diagnostics.Hints_unsupported ->
          (* streamed/spooled hinted input reaches the checker before the
             version gate can see the file; the refusal also truncates the
             spool, so re-linting it would only mask the real cause *)
          remove_spool ();
          Printf.printf "c bad trace: %s\n"
-           (Checker.Diagnostics.to_string Checker.Diagnostics.Hints_unsupported);
+           (Proof.Diagnostics.to_string Proof.Diagnostics.Hints_unsupported);
          print_endline "s BAD TRACE (version)";
          refuse ~status:"s BAD TRACE (version)" ~code:2
-           (Checker.Diagnostics.to_string Checker.Diagnostics.Hints_unsupported)
+           (Proof.Diagnostics.to_string Proof.Diagnostics.Hints_unsupported)
        | Error d ->
          (* the tee'd lint stopped where the checker stopped; re-lint the
             (spooled) trace in full so the report matches a standalone
@@ -786,25 +785,25 @@ let check_cmd =
             if not (Analysis.Lint.clean report) then lint_fail report);
          remove_spool ();
          (match d with
-          | Checker.Diagnostics.Malformed_trace _ ->
+          | Proof.Diagnostics.Malformed_trace _ ->
             (* unparsable input escapes the bad-input way, even under
                --no-lint, so scripts can tell the failure classes apart *)
             Printf.printf "c bad trace: %s\n"
-              (Checker.Diagnostics.to_string d);
+              (Proof.Diagnostics.to_string d);
             print_endline "s BAD TRACE (parse)";
             refuse
-              ?pos:(Checker.Diagnostics.position d)
+              ?pos:(Proof.Diagnostics.position d)
               ~codes:[ "L001" ] ~status:"s BAD TRACE (parse)" ~code:2
-              (Checker.Diagnostics.to_string d)
+              (Proof.Diagnostics.to_string d)
           | _ ->
             Printf.printf "c check failed: %s\n"
-              (Checker.Diagnostics.to_string d);
+              (Proof.Diagnostics.to_string d);
             print_endline "s CHECK FAILED";
             refuse
-              ?pos:(Checker.Diagnostics.position d)
-              ~ids:(Checker.Diagnostics.ids d)
+              ?pos:(Proof.Diagnostics.position d)
+              ~ids:(Proof.Diagnostics.ids d)
               ~status:"s CHECK FAILED" ~code:1
-              (Checker.Diagnostics.to_string d)))
+              (Proof.Diagnostics.to_string d)))
   in
   let trace_pos =
     Arg.(
@@ -1063,7 +1062,7 @@ let validate_cmd =
          Printf.printf "c SOLVER BUG: clause %d not satisfied by the model\n" i;
          exit 1
        | Pipeline.Validate.Unsat_check_failed d ->
-         Printf.printf "c SOLVER BUG: %s\n" (Checker.Diagnostics.to_string d);
+         Printf.printf "c SOLVER BUG: %s\n" (Proof.Diagnostics.to_string d);
          exit 1)
   in
   Cmd.v
@@ -1110,7 +1109,7 @@ let core_cmd =
         print_endline "s SATISFIABLE (no unsat core)";
         exit 10
       | Error (`Check_failed d) ->
-        Printf.printf "c check failed: %s\n" (Checker.Diagnostics.to_string d);
+        Printf.printf "c check failed: %s\n" (Proof.Diagnostics.to_string d);
         exit 1
       | Ok s ->
         let rows =
@@ -1306,12 +1305,12 @@ let simplify_cmd =
 (* --- trim ---------------------------------------------------------------- *)
 
 let trim_cmd =
-  let run () formula_path trace_path output format_opt checked io =
+  let run () formula_path trace_path output format_opt io =
     match load_formula formula_path with
     | Error m ->
       prerr_endline ("error: " ^ m);
       exit 2
-    | Ok f ->
+    | Ok _ -> (
       let src = Trace.Reader.From_file trace_path in
       let detected =
         match Trace.Reader.detect src with
@@ -1324,48 +1323,23 @@ let trim_cmd =
       in
       (* by default the trimmed trace keeps the input's encoding;
          --format rewrites into the other one *)
-      let out_format = Option.value ~default:detected format_opt in
-      if checked then (
-        (* legacy DF-verified path: replay the whole proof, then keep what
-           the checker built.  Slower, but the trim is itself checked. *)
-        match Checker.Trim.trim f src with
-        | Error (Checker.Diagnostics.Malformed_trace _ as d) ->
-          Printf.printf "c bad trace: %s\n" (Checker.Diagnostics.to_string d);
-          print_endline "s BAD TRACE (parse)";
-          exit 2
-        | Error d ->
-          Printf.printf "c input trace does not check: %s\n"
-            (Checker.Diagnostics.to_string d);
-          exit 1
-        | Ok r ->
-          let w = Trace.Writer.create out_format in
-          Checker.Trim.write w r;
-          Trace.Writer.to_file w output;
-          Printf.printf
-            "c kept %d learned clauses, dropped %d; trimmed trace: %d bytes \
-             -> %s\n"
-            r.kept_learned r.dropped_learned
-            (Trace.Writer.bytes_written w)
-            output;
-          exit 0)
-      else (
-        let w = Trace.Writer.create out_format in
-        match Analysis.Dag.trim ~io src w with
-        | Error e ->
-          Printf.printf "c cannot trim: %s at %s\n" e.Analysis.Dag.message
-            (Trace.Reader.pos_to_string e.Analysis.Dag.pos);
-          print_endline "s BAD TRACE (analyze)";
-          exit 2
-        | Ok (stats, _profile) ->
-          Trace.Writer.to_file w output;
-          Printf.printf
-            "c trim: kept %d of %d learned clauses (%d dead dropped), %d -> \
-             %d records, %d -> %d bytes -> %s\n"
-            stats.kept_learned
-            (stats.kept_learned + stats.dropped_learned)
-            stats.dropped_learned stats.records_in stats.records_out
-            stats.bytes_in stats.bytes_out output;
-          exit 0)
+      let w = Trace.Writer.create (Option.value ~default:detected format_opt) in
+      match Analysis.Dag.trim ~io src w with
+      | Error e ->
+        Printf.printf "c cannot trim: %s at %s\n" e.Analysis.Dag.message
+          (Trace.Reader.pos_to_string e.Analysis.Dag.pos);
+        print_endline "s BAD TRACE (analyze)";
+        exit 2
+      | Ok (stats, _profile) ->
+        Trace.Writer.to_file w output;
+        Printf.printf
+          "c trim: kept %d of %d learned clauses (%d dead dropped), %d -> \
+           %d records, %d -> %d bytes -> %s\n"
+          stats.kept_learned
+          (stats.kept_learned + stats.dropped_learned)
+          stats.dropped_learned stats.records_in stats.records_out
+          stats.bytes_in stats.bytes_out output;
+        exit 0)
   in
   let trace_pos =
     Arg.(
@@ -1388,16 +1362,6 @@ let trim_cmd =
             "Encoding of the trimmed trace ($(b,ascii) or $(b,binary)); \
              defaults to the input's encoding.")
   in
-  let checked_arg =
-    Arg.(
-      value & flag
-      & info [ "checked" ]
-          ~doc:
-            "Replay the proof with the depth-first checker and keep the \
-             clauses it built, instead of the default static reachability \
-             analysis.  Slower; rejects a trace that does not check \
-             (exit 1).")
-  in
   Cmd.v
     (Cmd.info "trim"
        ~doc:
@@ -1406,12 +1370,11 @@ let trim_cmd =
           dropped, through a static analysis of the proof DAG — the proof \
           is not replayed.  Every checking strategy reaches an identical \
           verdict and core on the trimmed trace, and trimming again is a \
-          no-op.  Exit codes: 0 trimmed, 1 $(b,--checked) replay rejected \
-          the proof, 2 unreadable, unparsable or structurally broken \
-          input.")
+          no-op.  Exit codes: 0 trimmed, 2 unreadable, unparsable or \
+          structurally broken input.")
     Term.(
       const run $ telemetry_term $ formula_arg $ trace_pos $ output_arg
-      $ out_format_arg $ checked_arg $ io_arg)
+      $ out_format_arg $ io_arg)
 
 (* --- hint --------------------------------------------------------------- *)
 
@@ -1525,7 +1488,7 @@ let drup_cmd =
       match Pipeline.Drup.of_trace f (Trace.Reader.From_file trace_path) with
       | Error d ->
         Printf.printf "c conversion failed: %s\n"
-          (Checker.Diagnostics.to_string d);
+          (Proof.Diagnostics.to_string d);
         exit 1
       | Ok derivation ->
         (if verify then
@@ -1620,7 +1583,7 @@ let mc_cmd =
           exit 3
         | Pipeline.Bmc_engine.Mc_check_failed d ->
           Printf.printf "c proof rejected: %s\n"
-            (Checker.Diagnostics.to_string d);
+            (Proof.Diagnostics.to_string d);
           exit 4
       end
       else begin
@@ -1633,7 +1596,7 @@ let mc_cmd =
           exit 0
         | Pipeline.Bmc_engine.Check_failed x ->
           Printf.printf "c proof rejected: %s\n"
-            (Checker.Diagnostics.to_string x);
+            (Proof.Diagnostics.to_string x);
           exit 4
       end
   in

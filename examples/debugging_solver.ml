@@ -76,7 +76,7 @@ let () =
    | Ok r ->
      Printf.printf "proof verified (%d resolution steps)\n\n"
        r.resolution_steps
-   | Error d -> Printf.printf "unexpected: %s\n" (Checker.Diagnostics.to_string d));
+   | Error d -> Printf.printf "unexpected: %s\n" (Proof.Diagnostics.to_string d));
   List.iter
     (fun (name, story, corrupt) ->
       Printf.printf "injected bug: %s\n  (%s)\n" name story;
@@ -89,6 +89,6 @@ let () =
          print_endline "  checker verdict: ACCEPTED (bug not observable in this proof)"
        | Error d ->
          Printf.printf "  checker verdict: REJECTED — %s\n"
-           (Checker.Diagnostics.to_string d));
+           (Proof.Diagnostics.to_string d));
       print_newline ())
     corruptions

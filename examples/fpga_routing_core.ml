@@ -24,7 +24,7 @@ let () =
   | Error `Sat -> print_endline "routable after all?!"
   | Error (`Check_failed d) ->
     Printf.printf "checker rejected the proof: %s\n"
-      (Checker.Diagnostics.to_string d)
+      (Proof.Diagnostics.to_string d)
   | Ok s ->
     print_endline "core shrinking:";
     Printf.printf "  input: %5d clauses over %d vars\n" s.initial.clauses

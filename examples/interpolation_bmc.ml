@@ -39,7 +39,7 @@ let () =
     with
     | Error d ->
       Printf.printf "proof did not check: %s\n"
-        (Checker.Diagnostics.to_string d)
+        (Proof.Diagnostics.to_string d)
     | Ok itp ->
       Printf.printf
         "UNSAT proof checked; interpolant: %d circuit nodes over %d shared \

@@ -27,7 +27,7 @@ let solve_and_validate name f =
   | Pipeline.Validate.Sat_model_wrong i ->
     Printf.printf "SOLVER BUG: clause %d not satisfied!\n" i
   | Pipeline.Validate.Unsat_check_failed d ->
-    Printf.printf "SOLVER BUG: %s\n" (Checker.Diagnostics.to_string d)
+    Printf.printf "SOLVER BUG: %s\n" (Proof.Diagnostics.to_string d)
 
 let () =
   (* a satisfiable toy: (x1 + x2)(¬x1 + x3)(¬x3 + ¬x2) *)

@@ -21,7 +21,7 @@ let describe name ts ~max_depth =
    | B.Safe_up_to d ->
      Printf.printf "BMC: safe up to depth %d - but says nothing beyond\n" d
    | B.Check_failed x ->
-     Printf.printf "BMC: proof rejected! %s\n" (Checker.Diagnostics.to_string x));
+     Printf.printf "BMC: proof rejected! %s\n" (Proof.Diagnostics.to_string x));
   (match B.interpolation_mc ts with
    | B.Proved_safe { iterations; reachable_nodes } ->
      Printf.printf
@@ -34,7 +34,7 @@ let describe name ts ~max_depth =
      Printf.printf "Interpolation MC: gave up after %d rounds\n" iterations
    | B.Mc_check_failed d ->
      Printf.printf "Interpolation MC: proof rejected! %s\n"
-       (Checker.Diagnostics.to_string d));
+       (Proof.Diagnostics.to_string d));
   print_newline ()
 
 let () =

@@ -1,142 +1,29 @@
 type counting = [ `In_memory | `Temp_file of int (* chunk size *) ]
 
-(* The use counts are the paper's "temporary file".  In-memory mode keeps
-   one hash table; temp-file mode writes totals to a real file on disk in
-   chunked counting passes and caches counters in memory only for clauses
-   currently alive. *)
-type counts =
-  | Mem_counts of (int, int) Hashtbl.t
-  | File_counts of { ic : in_channel; live : (int, int) Hashtbl.t }
-
-type state = {
-  kernel : Proof.Kernel.t;
-  mutable counts : counts;
-}
-
-let read_count_from_file ic id =
-  seek_in ic (4 * id);
-  let b0 = input_byte ic in
-  let b1 = input_byte ic in
-  let b2 = input_byte ic in
-  let b3 = input_byte ic in
-  b0 lor (b1 lsl 8) lor (b2 lsl 16) lor (b3 lsl 24)
-
-let get_count st id =
-  match st.counts with
-  | Mem_counts tbl -> Option.value ~default:0 (Hashtbl.find_opt tbl id)
-  | File_counts { ic; live } -> (
-    match Hashtbl.find_opt live id with
-    | Some n -> n
-    | None -> ( try read_count_from_file ic id with End_of_file -> 0))
-
-let set_count st id n =
-  match st.counts with
-  | Mem_counts tbl -> if n <= 0 then Hashtbl.remove tbl id else Hashtbl.replace tbl id n
-  | File_counts { live; _ } ->
-    if n <= 0 then Hashtbl.remove live id else Hashtbl.replace live id n
-
-let add_use st id = set_count st id (1 + get_count st id)
-
-(* Temp-file counting: stream the trace once per chunk of the ID space,
-   accumulate that chunk's use counts in a bounded slab, and append the
-   slab to the file — the paper's multi-pass variant of pass one. *)
-let iter_use_ids cur f =
-  Trace.Reader.rewind cur;
-  Trace.Reader.iter_cursor cur (fun e ->
-      match e with
-      | Trace.Event.Header _ -> ()
-      | Trace.Event.Learned l -> Array.iter f l.sources
-      | Trace.Event.Level0 v -> f v.ante
-      | Trace.Event.Final_conflict id -> f id
-      | Trace.Event.Delete _ -> ())
-
-let write_counts_file cur ~chunk =
-  let chunk = max 1 chunk in
-  let max_id = ref 0 in
-  iter_use_ids cur (fun id -> if id > !max_id then max_id := id);
-  let path = Filename.temp_file "bf_counts" ".bin" in
-  let oc = open_out_bin path in
-  let slab = Array.make chunk 0 in
-  let lo = ref 0 in
-  while !lo <= !max_id do
-    Array.fill slab 0 chunk 0;
-    let hi = !lo + chunk in
-    iter_use_ids cur (fun id ->
-        if id >= !lo && id < hi then slab.(id - !lo) <- slab.(id - !lo) + 1);
-    for i = 0 to chunk - 1 do
-      let n = slab.(i) in
-      output_byte oc (n land 0xff);
-      output_byte oc ((n lsr 8) land 0xff);
-      output_byte oc ((n lsr 16) land 0xff);
-      output_byte oc ((n lsr 24) land 0xff)
-    done;
-    lo := hi
-  done;
-  close_out oc;
-  path
-
-let release_one_use st id =
-  match get_count st id with
-  | 0 -> ()
-  | n when n <= 1 ->
-    set_count st id 0;
-    Proof.Kernel.release_id st.kernel id
-  | n -> set_count st id (n - 1)
-
-(* Pass two: rebuild each learned clause in stream order — all sources are
-   guaranteed to be already constructed (pass one enforced stream order) —
-   and release a clause the moment its use count drains.  Breadth-first
-   builds every learned clause (the 100% Built column); ones with no
-   recorded use are validated but not stored. *)
-let build_pass st cur =
-  let k = st.kernel in
-  let context = "breadth-first reconstruction" in
-  let fetch id = Proof.Kernel.find k ~context id in
-  Trace.Reader.rewind cur;
-  Trace.Reader.iter_cursor cur (fun e ->
-      match e with
-      | Trace.Event.Header _ -> ()
-      | Trace.Event.Learned l ->
-        let h = Proof.Kernel.chain_ids k ~context ~fetch ~learned_id:l.id l.sources in
-        if get_count st l.id > 0 then begin
-          Proof.Kernel.define k l.id h;
-          (* temp-file mode: cache the counter while the clause is alive *)
-          set_count st l.id (get_count st l.id)
-        end
-        else Proof.Clause_db.release (Proof.Kernel.db k) h;
-        Array.iter (fun s -> release_one_use st s) l.sources
-      | Trace.Event.Level0 _ -> ()
-      | Trace.Event.Final_conflict _ -> ()
-      | Trace.Event.Delete _ -> ())
-
-(* Incremental pass-one ingest: the same counting/validation state, but
-   fed one event at a time so it can sit behind a {!Trace.Sink.t} and
-   consume the solver's live event stream (online validation) as well as
-   a decoded file.  A violation is recorded, not raised — the solver
+(* Incremental pass-one ingest: the validating/counting pass fed one
+   event at a time, so it can sit behind a {!Trace.Sink.t} and consume
+   the solver's live event stream (online validation) as well as a
+   decoded file.  A violation is recorded, not raised — the solver
    cannot be interrupted mid-push — and every later event is ignored, so
    the first failure reported is exactly the one file-based BF stops
    at. *)
 type ingest = {
-  ist : state;
+  kernel : Proof.Kernel.t;
+  uses : Driver.uses;
   stream : Proof.Kernel.stream;
   l0 : Proof.Level0.t;
-  meter : Harness.Meter.t;
   count_in_memory : bool;
-  mutable failed : Diagnostics.failure option;
+  mutable failed : Proof.Diagnostics.failure option;
 }
 
 let make_ingest ?meter ~count_in_memory formula =
-  let meter =
-    match meter with Some m -> m | None -> Harness.Meter.create ()
-  in
-  let kernel = Proof.Kernel.create ~meter formula in
+  let kernel = Proof.Kernel.create ?meter formula in
   let l0 = Proof.Level0.create () in
-  let stream = Proof.Kernel.stream_start kernel ~stream_order:true ~l0 () in
   {
-    ist = { kernel; counts = Mem_counts (Hashtbl.create 4096) };
-    stream;
+    kernel;
+    uses = Driver.uses ();
+    stream = Proof.Kernel.stream_start kernel ~stream_order:true ~l0 ();
     l0;
-    meter;
     count_in_memory;
     failed = None;
   }
@@ -149,125 +36,50 @@ let ingest_event g e =
   if g.failed = None then
     try
       Proof.Kernel.stream_feed g.stream e;
-      if g.count_in_memory then
-        match e with
-        | Trace.Event.Header _ -> ()
-        | Trace.Event.Learned l -> Array.iter (add_use g.ist) l.sources
-        | Trace.Event.Level0 v -> add_use g.ist v.ante
-        | Trace.Event.Final_conflict id -> add_use g.ist id
-        (* unreachable: stream_feed refuses hints first *)
-        | Trace.Event.Delete _ -> ()
-    with Diagnostics.Check_failed f -> g.failed <- Some f
+      (* a hint never gets here: stream_feed refuses it first *)
+      if g.count_in_memory then Driver.count_uses g.uses e
+    with Proof.Diagnostics.Check_failed f -> g.failed <- Some f
 
 let ingest_sink g = Trace.Sink.make (ingest_event g)
 
-let finish ?format ?io ?(pass_one_seconds = 0.) g source =
-  try
-    match g.failed with
-    | Some f -> Error f
-    | None ->
-      let pass = Proof.Kernel.stream_finish g.stream in
-      let conf_id =
-        match pass.Proof.Kernel.final_conflict with
-        | Some id -> id
-        | None -> Diagnostics.fail Diagnostics.Missing_final_conflict
-      in
-      let kernel = g.ist.kernel in
-      let (), pass_two_seconds =
-        Harness.Timer.wall_time (fun () ->
-            Obs.Span.scope ~cat:"bf" "check.pass_two" @@ fun () ->
-            let cur = Trace.Reader.cursor ?format ?io source in
-            build_pass g.ist cur;
-            Trace.Reader.close cur;
-            let fetch id =
-              Proof.Kernel.find kernel ~context:"empty-clause construction" id
-            in
-            let (_ : int) =
-              Proof.Kernel.final_chain_ids kernel ~l0:g.l0 ~fetch
-                ~conflict_id:conf_id
-            in
-            ())
-      in
-      let c = Proof.Kernel.counters kernel in
-      Ok {
-        Report.clauses_built = c.Proof.Kernel.clauses_built;
-        total_learned = pass.Proof.Kernel.total_learned;
-        resolution_steps = c.Proof.Kernel.resolution_steps;
-        core_original_ids = [];
-        learned_built_ids = Proof.Kernel.built_ids kernel;
-        core_vars = 0;
-        peak_mem_words = Harness.Meter.peak_words g.meter;
-        peak_live_clauses = c.Proof.Kernel.peak_live_clauses;
-        arena_bytes_resident = c.Proof.Kernel.arena_peak_bytes;
-        jobs = 1;
-        wavefronts = 0;
-        max_wavefront_width = 0;
-        pass_one_seconds;
-        pass_two_seconds;
-      }
-  with
-  | Diagnostics.Check_failed f -> Error f
-  | Trace.Reader.Parse_error { pos; msg } ->
-    Error (Diagnostics.of_parse_error ~pos msg)
+(* Pass two: rebuild every learned clause in stream order — the 100%
+   Built column — releasing each clause the moment its uses drain. *)
+let pass_two ?format ?io g source =
+  Option.iter Proof.Diagnostics.fail g.failed;
+  let pass = Proof.Kernel.stream_finish g.stream in
+  let conf_id = Driver.conflict pass.final_conflict in
+  Driver.pass_two ~cat:"bf" (fun () ->
+      Driver.rebuild g.kernel g.uses ~context:"breadth-first reconstruction"
+        ?format ?io source;
+      ignore (Driver.final_chain g.kernel ~l0:g.l0 conf_id));
+  Driver.report g.kernel ~total_learned:pass.total_learned
+
+let finish ?format ?io g source =
+  Driver.run (fun () -> pass_two ?format ?io g source)
 
 let check ?meter ?format ?io ?(counting = `In_memory) ?first_pass formula
     source =
-  let count_in_memory =
-    match counting with `In_memory -> true | `Temp_file _ -> false
+  let g =
+    make_ingest ?meter ~count_in_memory:(counting = `In_memory) formula
   in
-  let g = make_ingest ?meter ~count_in_memory formula in
-  let temp = ref None in
-  let cleanup () =
-    match !temp with
-    | Some (path, ic) ->
-      close_in_noerr ic;
-      (try Sys.remove path with Sys_error _ -> ())
-    | None -> ()
-  in
-  try
-    (* pass one: validate record shape / stream order and count uses;
-       ingest records the first violation, so draining stops there *)
-    let src =
-      match first_pass with
-      | Some s -> s
-      | None ->
-        Trace.Source.of_cursor ~close_cursor:true
-          (Trace.Reader.cursor ?format ?io source)
-    in
-    let (), pass_one_seconds =
-      Harness.Timer.wall_time (fun () ->
-          Obs.Span.scope ~cat:"bf" "check.pass_one" @@ fun () ->
-          Fun.protect
-            ~finally:(fun () -> Trace.Source.close src)
-            (fun () ->
-              let rec drain () =
-                if g.failed = None then
-                  match Trace.Source.next src with
-                  | Some e ->
-                    ingest_event g e;
-                    drain ()
-                  | None -> ()
-              in
-              drain ()))
-    in
-    (match counting with
-     | `In_memory -> ()
-     | `Temp_file chunk ->
-       (* the paper's chunked counting passes re-read the trace from its
-          re-readable source; only now is a spooled stream complete *)
-       let cur = Trace.Reader.cursor ?format ?io source in
-       let path = write_counts_file cur ~chunk in
-       Trace.Reader.close cur;
-       let ic = open_in_bin path in
-       temp := Some (path, ic);
-       g.ist.counts <- File_counts { ic; live = Hashtbl.create 256 });
-    let r = finish ?format ?io ~pass_one_seconds g source in
-    cleanup ();
-    r
-  with
-  | Diagnostics.Check_failed f ->
-    cleanup ();
-    Error f
-  | Trace.Reader.Parse_error { pos; msg } ->
-    cleanup ();
-    Error (Diagnostics.of_parse_error ~pos msg)
+  Driver.run ~cleanup:(fun () -> Driver.remove_file g.uses) @@ fun () ->
+  (* pass one: validate record shape / stream order and count uses;
+     ingest records the first violation, so draining stops there *)
+  Driver.pass_one ~cat:"bf" (Driver.source ?format ?io ?first_pass source)
+    (fun src ->
+      let rec drain () =
+        if g.failed = None then
+          match Trace.Source.next src with
+          | Some e ->
+            ingest_event g e;
+            drain ()
+          | None -> ()
+      in
+      drain ());
+  (match counting with
+   | `In_memory -> ()
+   | `Temp_file chunk ->
+     (* the paper's chunked counting passes re-read the trace from its
+        re-readable source; only now is a spooled stream complete *)
+     Driver.count_to_file g.uses ~chunk ?format ?io source);
+  pass_two ?format ?io g source

@@ -44,7 +44,7 @@ val check :
   ?first_pass:Trace.Source.t ->
   Sat.Cnf.t ->
   Trace.Reader.source ->
-  (Report.t, Diagnostics.failure) result
+  (Report.t, Proof.Diagnostics.failure) result
 
 (** {2 Incremental pass-one ingest}
 
@@ -62,17 +62,14 @@ val ingest_event : ingest -> Trace.Event.t -> unit
 val ingest_sink : ingest -> Trace.Sink.t
 
 (** [ingest_failed g] is the first recorded violation, if any. *)
-val ingest_failed : ingest -> Diagnostics.failure option
+val ingest_failed : ingest -> Proof.Diagnostics.failure option
 
 (** [finish g source] completes pass one (header/conflict presence) and
     runs the breadth-first reconstruction pass over [source], which must
-    serialise exactly the events that were ingested.  [pass_one_seconds]
-    is threaded into the report (the online validator's pass one is
-    interleaved with solving and reports 0). *)
+    serialise exactly the events that were ingested. *)
 val finish :
   ?format:Trace.Writer.format ->
   ?io:Trace.Reader.io ->
-  ?pass_one_seconds:float ->
   ingest ->
   Trace.Reader.source ->
-  (Report.t, Diagnostics.failure) result
+  (Report.t, Proof.Diagnostics.failure) result

@@ -5,65 +5,21 @@
    built and the touched originals form an unsat core. *)
 
 let check ?meter ?format ?io ?first_pass formula source =
-  let meter =
-    match meter with Some m -> m | None -> Harness.Meter.create ()
+  let k = Proof.Kernel.create ?meter formula in
+  Driver.run @@ fun () ->
+  (* depth-first reads the trace exactly once, so the whole check can
+     run off a single-shot stream (pipe/FIFO) with no re-read *)
+  let proof =
+    Driver.pass_one ~cat:"df"
+      (Driver.source ?format ?io ?first_pass source)
+      (Proof.Kernel.load k ~charge:`Full)
   in
-  let k = Proof.Kernel.create ~meter formula in
-  try
-    (* depth-first reads the trace exactly once, so the whole check can
-       run off a single-shot stream (pipe/FIFO) with no re-read *)
-    let src =
-      match first_pass with
-      | Some s -> s
-      | None ->
-        Trace.Source.of_cursor ~close_cursor:true
-          (Trace.Reader.cursor ?format ?io source)
-    in
-    let proof, pass_one_seconds =
-      Harness.Timer.wall_time (fun () ->
-          Obs.Span.scope ~cat:"df" "check.pass_one" @@ fun () ->
-          Fun.protect
-            ~finally:(fun () -> Trace.Source.close src)
-            (fun () -> Proof.Kernel.load k ~charge:`Full src))
-    in
-    let conf_id =
-      match proof.Proof.Kernel.final_conflict with
-      | Some id -> id
-      | None -> Diagnostics.fail Diagnostics.Missing_final_conflict
-    in
-    let (), pass_two_seconds =
-      Harness.Timer.wall_time (fun () ->
-          Obs.Span.scope ~cat:"df" "check.pass_two" @@ fun () ->
-          let b =
-            Proof.Kernel.builder k ~sources:proof.Proof.Kernel.sources
-              Proof.Kernel.unit_annotation
-          in
-          let fetch id = fst (Proof.Kernel.build b id) in
-          let (_ : int) =
-            Proof.Kernel.final_chain_ids k ~l0:proof.Proof.Kernel.l0 ~fetch
-              ~conflict_id:conf_id
-          in
-          ())
-    in
-    let learned_built_ids = Proof.Kernel.built_ids k in
-    let c = Proof.Kernel.counters k in
-    Ok {
-      Report.clauses_built = List.length learned_built_ids;
-      learned_built_ids;
-      total_learned = proof.Proof.Kernel.total_learned;
-      resolution_steps = c.Proof.Kernel.resolution_steps;
-      core_original_ids = Proof.Kernel.core_ids k;
-      core_vars = Proof.Kernel.core_var_count k;
-      peak_mem_words = Harness.Meter.peak_words meter;
-      peak_live_clauses = c.Proof.Kernel.peak_live_clauses;
-      arena_bytes_resident = c.Proof.Kernel.arena_peak_bytes;
-      jobs = 1;
-      wavefronts = 0;
-      max_wavefront_width = 0;
-      pass_one_seconds;
-      pass_two_seconds;
-    }
-  with
-  | Diagnostics.Check_failed f -> Error f
-  | Trace.Reader.Parse_error { pos; msg } ->
-    Error (Diagnostics.of_parse_error ~pos msg)
+  let conf_id = Driver.conflict proof.final_conflict in
+  Driver.pass_two ~cat:"df" (fun () ->
+      let b =
+        Proof.Kernel.builder k ~sources:proof.sources
+          Proof.Kernel.unit_annotation
+      in
+      let fetch id = fst (Proof.Kernel.build b id) in
+      ignore (Driver.final_chain k ~l0:proof.l0 ~fetch conf_id));
+  Driver.report ~core:true k ~total_learned:proof.total_learned

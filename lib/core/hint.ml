@@ -17,10 +17,8 @@
    breadth-first on every trace both can read. *)
 
 let check ?meter ?format ?io ?first_pass formula source =
-  let meter =
-    match meter with Some m -> m | None -> Harness.Meter.create ()
-  in
-  let kernel = Proof.Kernel.create ~meter formula in
+  let kernel = Proof.Kernel.create ?meter formula in
+  Driver.run @@ fun () ->
   let l0 = Proof.Level0.create () in
   let stream =
     Proof.Kernel.stream_start kernel ~stream_order:true ~l0
@@ -30,19 +28,13 @@ let check ?meter ?format ?io ?first_pass formula source =
   (* ids already freed by a hint, kept only to diagnose bad hints — the
      hot path never touches this table until something goes wrong *)
   let deleted = Hashtbl.create 256 in
-  let src =
-    match first_pass with
-    | Some s -> s
-    | None ->
-      Trace.Source.of_cursor ~close_cursor:true
-        (Trace.Reader.cursor ?format ?io source)
-  in
+  let src = Driver.source ?format ?io ?first_pass source in
   let bad_hint id reason =
-    Diagnostics.fail
-      (Diagnostics.Positioned
+    Proof.Diagnostics.fail
+      (Proof.Diagnostics.Positioned
          {
            pos = Trace.Source.last_pos src;
-           failure = Diagnostics.Bad_delete_hint { id; reason };
+           failure = Proof.Diagnostics.Bad_delete_hint { id; reason };
          })
   in
   (* Every clause lookup funnels through here so a reference to a clause
@@ -70,60 +62,20 @@ let check ?meter ?format ?io ?first_pass formula source =
           else bad_hint id "is not defined at this point in the trace")
       ids
   in
-  try
-    let (), pass_one_seconds =
-      Harness.Timer.wall_time (fun () ->
-          Obs.Span.scope ~cat:"hint" "check.one_pass" @@ fun () ->
-          Fun.protect
-            ~finally:(fun () -> Trace.Source.close src)
-            (fun () ->
-              let rec drain () =
-                match Trace.Source.next src with
-                | None -> ()
-                | Some e ->
-                  Proof.Kernel.stream_feed stream e;
-                  (match e with
-                   | Trace.Event.Header _ | Trace.Event.Level0 _
-                   | Trace.Event.Final_conflict _ -> ()
-                   | Trace.Event.Learned l ->
-                     let h =
-                       Proof.Kernel.chain_ids kernel ~context ~fetch
-                         ~learned_id:l.id l.sources
-                     in
-                     Proof.Kernel.define kernel l.id h
-                   | Trace.Event.Delete ids -> delete ids);
-                  drain ()
-              in
-              drain ()))
-    in
-    let pass = Proof.Kernel.stream_finish stream in
-    let conf_id =
-      match pass.Proof.Kernel.final_conflict with
-      | Some id -> id
-      | None -> Diagnostics.fail Diagnostics.Missing_final_conflict
-    in
-    let (_ : int) =
-      Proof.Kernel.final_chain_ids kernel ~l0 ~fetch ~conflict_id:conf_id
-    in
-    let c = Proof.Kernel.counters kernel in
-    Ok
-      {
-        Report.clauses_built = c.Proof.Kernel.clauses_built;
-        total_learned = pass.Proof.Kernel.total_learned;
-        resolution_steps = c.Proof.Kernel.resolution_steps;
-        core_original_ids = [];
-        learned_built_ids = Proof.Kernel.built_ids kernel;
-        core_vars = 0;
-        peak_mem_words = Harness.Meter.peak_words meter;
-        peak_live_clauses = c.Proof.Kernel.peak_live_clauses;
-        arena_bytes_resident = c.Proof.Kernel.arena_peak_bytes;
-        jobs = 1;
-        wavefronts = 0;
-        max_wavefront_width = 0;
-        pass_one_seconds;
-        pass_two_seconds = 0.;
-      }
-  with
-  | Diagnostics.Check_failed f -> Error f
-  | Trace.Reader.Parse_error { pos; msg } ->
-    Error (Diagnostics.of_parse_error ~pos msg)
+  Driver.pass_one ~cat:"hint" ~name:"check.one_pass" src
+    (Trace.Source.iter (fun e ->
+         Proof.Kernel.stream_feed stream e;
+         match e with
+         | Trace.Event.Header _ | Trace.Event.Level0 _
+         | Trace.Event.Final_conflict _ -> ()
+         | Trace.Event.Learned l ->
+           let h =
+             Proof.Kernel.chain_ids kernel ~context ~fetch ~learned_id:l.id
+               l.sources
+           in
+           Proof.Kernel.define kernel l.id h
+         | Trace.Event.Delete ids -> delete ids));
+  let pass = Proof.Kernel.stream_finish stream in
+  let conf_id = Driver.conflict pass.final_conflict in
+  ignore (Driver.final_chain kernel ~l0 ~fetch conf_id);
+  Driver.report kernel ~total_learned:pass.total_learned

@@ -10,8 +10,8 @@
 
     Hints are memory advice, never validity input: a wrong, permuted or
     dangling hint makes the check fail with a positioned
-    {!Diagnostics.Bad_delete_hint}, and can never change a verdict.  A
-    version-1 trace (no hints) is accepted too — the pass simply never
+    {!Proof.Diagnostics.Bad_delete_hint}, and can never change a verdict.
+    A version-1 trace (no hints) is accepted too — the pass simply never
     frees — so verdicts, cores and diagnostics agree with breadth-first
     on every trace both can read. *)
 
@@ -19,8 +19,7 @@
     With [first_pass] the events are drained from that source instead of
     decoding [source] — the whole check rides an already-open tee'd
     parse, and [source] is never read.  The report matches {!Bf.check}
-    field for field (every learned clause built, empty core); the whole
-    pass is charged to [pass_one_seconds].
+    field for field (every learned clause built, empty core).
     @raise nothing — failures are returned, parse errors included. *)
 val check :
   ?meter:Harness.Meter.t ->
@@ -29,4 +28,4 @@ val check :
   ?first_pass:Trace.Source.t ->
   Sat.Cnf.t ->
   Trace.Reader.source ->
-  (Report.t, Diagnostics.failure) result
+  (Report.t, Proof.Diagnostics.failure) result

@@ -4,138 +4,37 @@
    set and per-clause use counts, the lists are released, and pass two
    rebuilds only the needed clauses BF-style with use-count freeing. *)
 
-type state = {
-  kernel : Proof.Kernel.t;
-  needed : (int, unit) Hashtbl.t;   (* reachable from the conflict *)
-  use_count : (int, int) Hashtbl.t; (* uses among needed clauses *)
-}
-
-let add_need st id =
-  Hashtbl.replace st.needed id ();
-  Hashtbl.replace st.use_count id
-    (1 + Option.value ~default:0 (Hashtbl.find_opt st.use_count id))
-
-(* Reverse sweep: because stream order forbids forward references, one
-   backward pass over the definitions computes the exact reachable set
-   from the final conflict and per-clause use counts. *)
-let mark_needed st ~defs ~antes conf_id =
-  add_need st conf_id;
-  (* every recorded antecedent may be used by the empty-clause chain *)
-  Sat.Vec.iter (fun ante -> add_need st ante) antes;
-  for i = Sat.Vec.length defs - 1 downto 0 do
-    let id, sources = Sat.Vec.get defs i in
-    if Hashtbl.mem st.needed id then Array.iter (fun s -> add_need st s) sources
-  done
-
-let release_one_use st id =
-  match Hashtbl.find_opt st.use_count id with
-  | None -> ()
-  | Some n when n <= 1 ->
-    Hashtbl.remove st.use_count id;
-    Proof.Kernel.release_id st.kernel id
-  | Some n -> Hashtbl.replace st.use_count id (n - 1)
-
-(* Pass two: rebuild only the needed clauses, in stream order. *)
-let build_pass st cur =
-  let k = st.kernel in
-  let context = "hybrid reconstruction" in
-  let fetch id = Proof.Kernel.find k ~context id in
-  Trace.Reader.rewind cur;
-  Trace.Reader.iter_cursor cur (fun e ->
-      match e with
-      | Trace.Event.Learned l when Hashtbl.mem st.needed l.id ->
-        let h =
-          Proof.Kernel.chain_ids k ~context ~fetch ~learned_id:l.id l.sources
-        in
-        Proof.Kernel.define k l.id h;
-        Array.iter (fun s -> release_one_use st s) l.sources
-      | Trace.Event.Learned _ | Trace.Event.Header _ | Trace.Event.Level0 _
-      | Trace.Event.Final_conflict _ | Trace.Event.Delete _ -> ())
-
 let check ?meter ?format ?io ?first_pass formula source =
-  let meter =
-    match meter with Some m -> m | None -> Harness.Meter.create ()
+  let kernel = Proof.Kernel.create ?meter formula in
+  Driver.run @@ fun () ->
+  (* pass one: collect source lists (charged: this is the part of the
+     trace the hybrid must hold, like DF) and validate record shape and
+     stream order, like BF *)
+  let l0 = Proof.Level0.create () in
+  let defs = Sat.Vec.create ~dummy:(0, [||]) in
+  let antes = Sat.Vec.create ~dummy:0 in
+  let pass =
+    Driver.pass_one ~cat:"hybrid"
+      (Driver.source ?format ?io ?first_pass source)
+      (Proof.Kernel.stream_pass kernel ~stream_order:true ~l0 ~charge:`Defs
+         ~on_event:(function
+           | Trace.Event.Learned l -> Sat.Vec.push defs (l.id, l.sources)
+           | Trace.Event.Level0 v -> Sat.Vec.push antes v.ante
+           | Trace.Event.Header _ | Trace.Event.Final_conflict _
+           | Trace.Event.Delete _ -> ()))
   in
-  let kernel = Proof.Kernel.create ~meter formula in
-  let st = {
-    kernel;
-    needed = Hashtbl.create 1024;
-    use_count = Hashtbl.create 1024;
-  } in
-  try
-    (* pass one: collect source lists (charged: this is the part of the
-       trace the hybrid must hold, like DF) and validate record shape and
-       stream order, like BF *)
-    let src =
-      match first_pass with
-      | Some s -> s
-      | None ->
-        Trace.Source.of_cursor ~close_cursor:true
-          (Trace.Reader.cursor ?format ?io source)
-    in
-    let l0 = Proof.Level0.create () in
-    let defs = Sat.Vec.create ~dummy:(0, [||]) in
-    let antes = Sat.Vec.create ~dummy:0 in
-    let pass, pass_one_seconds =
-      Harness.Timer.wall_time (fun () ->
-          Obs.Span.scope ~cat:"hybrid" "check.pass_one" @@ fun () ->
-          Fun.protect
-            ~finally:(fun () -> Trace.Source.close src)
-            (fun () ->
-              Proof.Kernel.stream_pass kernel ~stream_order:true ~l0
-                ~charge:`Defs
-                ~on_event:(fun e ->
-                  match e with
-                  | Trace.Event.Learned l -> Sat.Vec.push defs (l.id, l.sources)
-                  | Trace.Event.Level0 v -> Sat.Vec.push antes v.ante
-                  | Trace.Event.Header _ | Trace.Event.Final_conflict _
-                  | Trace.Event.Delete _ -> ())
-                src))
-    in
-    let conf_id =
-      match pass.Proof.Kernel.final_conflict with
-      | Some id -> id
-      | None -> Diagnostics.fail Diagnostics.Missing_final_conflict
-    in
-    mark_needed st ~defs ~antes conf_id;
-    (* release the source lists: pass two re-reads them from the stream *)
-    let defs_words =
-      Sat.Vec.fold (fun acc (_, s) -> acc + 2 + Array.length s) 0 defs
-    in
-    Sat.Vec.clear defs;
-    Harness.Meter.free meter defs_words;
-    let (), pass_two_seconds =
-      Harness.Timer.wall_time (fun () ->
-          Obs.Span.scope ~cat:"hybrid" "check.pass_two" @@ fun () ->
-          let cur = Trace.Reader.cursor ?format ?io source in
-          build_pass st cur;
-          Trace.Reader.close cur;
-          let fetch id =
-            Proof.Kernel.find kernel ~context:"empty-clause construction" id
-          in
-          let (_ : int) =
-            Proof.Kernel.final_chain_ids kernel ~l0 ~fetch ~conflict_id:conf_id
-          in
-          ())
-    in
-    let c = Proof.Kernel.counters kernel in
-    Ok {
-      Report.clauses_built = c.Proof.Kernel.clauses_built;
-      total_learned = pass.Proof.Kernel.total_learned;
-      resolution_steps = c.Proof.Kernel.resolution_steps;
-      core_original_ids = Proof.Kernel.core_ids kernel;
-      learned_built_ids = Proof.Kernel.built_ids kernel;
-      core_vars = Proof.Kernel.core_var_count kernel;
-      peak_mem_words = Harness.Meter.peak_words meter;
-      peak_live_clauses = c.Proof.Kernel.peak_live_clauses;
-      arena_bytes_resident = c.Proof.Kernel.arena_peak_bytes;
-      jobs = 1;
-      wavefronts = 0;
-      max_wavefront_width = 0;
-      pass_one_seconds;
-      pass_two_seconds;
-    }
-  with
-  | Diagnostics.Check_failed f -> Error f
-  | Trace.Reader.Parse_error { pos; msg } ->
-    Error (Diagnostics.of_parse_error ~pos msg)
+  let conf_id = Driver.conflict pass.final_conflict in
+  (* uses among the clauses reachable from the conflict *)
+  let uses = Driver.uses () in
+  ignore (Driver.mark_needed uses ~defs ~antes conf_id);
+  (* release the source lists: pass two re-reads them from the stream *)
+  let defs_words =
+    Sat.Vec.fold (fun acc (_, s) -> acc + 2 + Array.length s) 0 defs
+  in
+  Sat.Vec.clear defs;
+  Harness.Meter.free (Proof.Kernel.meter kernel) defs_words;
+  Driver.pass_two ~cat:"hybrid" (fun () ->
+      Driver.rebuild kernel uses ~context:"hybrid reconstruction"
+        ~needed_only:true ?format ?io source;
+      ignore (Driver.final_chain kernel ~l0 conf_id));
+  Driver.report ~core:true kernel ~total_learned:pass.total_learned

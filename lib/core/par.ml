@@ -45,7 +45,7 @@ type task = {
 type outcome =
   | Single  (* one-source chain: the learned clause aliases its source *)
   | Clause of { lits : int array; steps : int; merges : int }
-  | Fail of Diagnostics.failure
+  | Fail of Proof.Diagnostics.failure
   | Skipped
 
 (* Domain-local scratch: the running resolvent ping-pongs between [cur]
@@ -77,7 +77,7 @@ let peek_handle k id =
   | None ->
     (* unreachable for sources.(0): pass one enforced stream order and
        originals are materialised before their wavefront is dispatched *)
-    Diagnostics.fail (Diagnostics.Unknown_clause { context; id })
+    Proof.Diagnostics.fail (Proof.Diagnostics.Unknown_clause { context; id })
 
 (* Replay one learned clause's chain in scratch — the worker-side mirror
    of {!Proof.Kernel.chain}, including its [c1_id] convention:
@@ -113,7 +113,7 @@ let run_task k view sc t =
         c1_id := t.id
       done;
       Clause { lits = Array.sub sc.cur 0 !len; steps = n - 1; merges = !merges }
-    with Diagnostics.Check_failed f -> Fail f
+    with Proof.Diagnostics.Check_failed f -> Fail f
 
 (* --- the worker pool ---------------------------------------------------- *)
 
@@ -240,253 +240,190 @@ let check ?meter ?format ?io ?(jobs = 1) ?(window = default_window)
     ?first_pass formula source =
   if jobs < 1 then invalid_arg "Par.check: jobs must be >= 1";
   let window = max 1 window in
-  let meter =
-    match meter with Some m -> m | None -> Harness.Meter.create ()
+  let kernel = Proof.Kernel.create ?meter formula in
+  let meter = Proof.Kernel.meter kernel in
+  Driver.run @@ fun () ->
+  (* pass one: BF's counting/validation pass, also collecting the
+     resolve-source lists as tasks.  The lists are charged to the meter
+     (the parallel checker, unlike BF, must hold them until their
+     wavefront commits), and pass one is the only trace read, so the
+     whole check can run off a single-shot stream. *)
+  let uses = Driver.uses () in
+  let tasks_rev = ref [] in
+  let seq = ref 0 in
+  let l0 = Proof.Level0.create () in
+  let pass =
+    Driver.pass_one ~cat:"par" (Driver.source ?format ?io ?first_pass source)
+      (Proof.Kernel.stream_pass kernel ~stream_order:true ~l0 ~charge:`Defs
+         ~on_event:(fun e ->
+           Driver.count_uses uses e;
+           match e with
+           | Trace.Event.Learned l ->
+             tasks_rev :=
+               {
+                 id = l.id;
+                 sources = l.sources;
+                 seq = !seq;
+                 words = 2 + Array.length l.sources;
+               }
+               :: !tasks_rev;
+             incr seq
+           | Trace.Event.Header _ | Trace.Event.Level0 _
+           | Trace.Event.Final_conflict _ | Trace.Event.Delete _ -> ()))
   in
-  let kernel = Proof.Kernel.create ~meter formula in
-  (* pass one is the only trace read (tasks are kept in memory), so the
-     whole check can run off a single-shot stream *)
-  let src =
-    match first_pass with
-    | Some s -> s
-    | None ->
-      Trace.Source.of_cursor ~close_cursor:true
-        (Trace.Reader.cursor ?format ?io source)
-  in
-  let use = Hashtbl.create 4096 in
-  let get_count id = Option.value ~default:0 (Hashtbl.find_opt use id) in
-  let add_use id = Hashtbl.replace use id (1 + get_count id) in
-  let release_one_use id =
-    match get_count id with
-    | 0 -> ()
-    | n when n <= 1 ->
-      Hashtbl.remove use id;
-      Proof.Kernel.release_id kernel id
-    | n -> Hashtbl.replace use id (n - 1)
-  in
-  try
-    (* pass one: BF's counting/validation pass, also collecting the
-       resolve-source lists as tasks.  The lists are charged to the meter
-       (the parallel checker, unlike BF, must hold them until their
-       wavefront commits). *)
-    let tasks_rev = ref [] in
-    let seq = ref 0 in
-    let l0 = Proof.Level0.create () in
-    let pass, pass_one_seconds =
-      Harness.Timer.wall_time (fun () ->
-          Obs.Span.scope ~cat:"par" "check.pass_one" @@ fun () ->
-          Fun.protect
-            ~finally:(fun () -> Trace.Source.close src)
-            (fun () ->
-              Proof.Kernel.stream_pass kernel ~stream_order:true ~l0
-                ~charge:`Defs
-                ~on_event:(fun e ->
-                  match e with
-                  | Trace.Event.Header _ -> ()
-                  | Trace.Event.Learned l ->
-                    Array.iter add_use l.sources;
-                    tasks_rev :=
-                      {
-                        id = l.id;
-                        sources = l.sources;
-                        seq = !seq;
-                        words = 2 + Array.length l.sources;
-                      }
-                      :: !tasks_rev;
-                    incr seq
-                  | Trace.Event.Level0 v -> add_use v.ante
-                  | Trace.Event.Final_conflict id -> add_use id
-                  | Trace.Event.Delete _ -> ())
-                src))
-    in
-    let conf_id =
-      match pass.Proof.Kernel.final_conflict with
-      | Some id -> id
-      | None -> Diagnostics.fail Diagnostics.Missing_final_conflict
-    in
-    (* cut the stream into windows and bucket each window's tasks into
-       wavefronts by their window-local level (sources from earlier
-       windows are committed before the window starts, hence level 0) *)
-    let tasks = Array.of_list (List.rev !tasks_rev) in
-    let n_tasks = Array.length tasks in
-    let fronts_rev = ref [] in
-    let llevel = Hashtbl.create 256 in
-    let start = ref 0 in
-    while !start < n_tasks do
-      let stop = min n_tasks (!start + window) in
-      Hashtbl.reset llevel;
-      let depth = ref 0 in
-      for i = !start to stop - 1 do
-        let t = tasks.(i) in
-        let l =
-          1
-          + Array.fold_left
-              (fun acc s ->
-                match Hashtbl.find_opt llevel s with
-                | Some ls -> max acc ls
-                | None -> acc)
-              0 t.sources
-        in
-        Hashtbl.replace llevel t.id l;
-        if l > !depth then depth := l
-      done;
-      let buckets = Array.make !depth [] in
-      for i = stop - 1 downto !start do
-        let t = tasks.(i) in
-        let l = Hashtbl.find llevel t.id in
-        buckets.(l - 1) <- t :: buckets.(l - 1)
-      done;
-      Array.iter (fun b -> fronts_rev := Array.of_list b :: !fronts_rev) buckets;
-      start := stop
+  let conf_id = Driver.conflict pass.final_conflict in
+  (* cut the stream into windows and bucket each window's tasks into
+     wavefronts by their window-local level (sources from earlier
+     windows are committed before the window starts, hence level 0) *)
+  let tasks = Array.of_list (List.rev !tasks_rev) in
+  let n_tasks = Array.length tasks in
+  let fronts_rev = ref [] in
+  let llevel = Hashtbl.create 256 in
+  let start = ref 0 in
+  while !start < n_tasks do
+    let stop = min n_tasks (!start + window) in
+    Hashtbl.reset llevel;
+    let depth = ref 0 in
+    for i = !start to stop - 1 do
+      let t = tasks.(i) in
+      let l =
+        1
+        + Array.fold_left
+            (fun acc s ->
+              match Hashtbl.find_opt llevel s with
+              | Some ls -> max acc ls
+              | None -> acc)
+            0 t.sources
+      in
+      Hashtbl.replace llevel t.id l;
+      if l > !depth then depth := l
     done;
-    let fronts = Array.of_list (List.rev !fronts_rev) in
-    let max_width =
-      Array.fold_left (fun acc f -> max acc (Array.length f)) 0 fronts
-    in
-    let min_fail = ref None in
-    let min_fail_seq = ref max_int in
-    let record_failure t f =
-      if t.seq < !min_fail_seq then begin
-        min_fail := Some f;
-        min_fail_seq := t.seq
-      end
-    in
-    (* the single-threaded barrier commit: stream order within the
-       wavefront, mirroring BF's define-then-release per learned clause *)
-    let db = Proof.Kernel.db kernel in
-    let commit tasks results =
-      Array.iteri
-        (fun i t ->
-          match results.(i) with
-          | Skipped -> ()
-          | Fail f -> record_failure t f
-          | Single ->
-            if t.seq < !min_fail_seq then begin
-              let h = Proof.Kernel.find kernel ~context t.sources.(0) in
-              Proof.Kernel.record_external_chain kernel ~learned_id:t.id
-                ~steps:0 ~merges:0;
-              if get_count t.id > 0 then begin
-                Proof.Clause_db.retain db h;
-                Proof.Kernel.define kernel t.id h
-              end;
-              Array.iter release_one_use t.sources
-            end
-          | Clause { lits; steps; merges } ->
-            if t.seq < !min_fail_seq then begin
-              let h = Proof.Clause_db.alloc_sorted db lits (Array.length lits) in
-              Proof.Kernel.record_external_chain kernel ~learned_id:t.id
-                ~steps ~merges;
-              if get_count t.id > 0 then Proof.Kernel.define kernel t.id h
-              else Proof.Clause_db.release db h;
-              Array.iter release_one_use t.sources
-            end)
-        tasks;
-      Harness.Meter.free meter
-        (Array.fold_left (fun acc t -> acc + t.words) 0 tasks)
-    in
-    (* materialise the originals a wavefront resolves against before its
-       workers start, so the store is strictly read-only while they run *)
-    let materialise_originals tasks =
-      Array.iter
-        (fun t ->
+    let buckets = Array.make !depth [] in
+    for i = stop - 1 downto !start do
+      let t = tasks.(i) in
+      let l = Hashtbl.find llevel t.id in
+      buckets.(l - 1) <- t :: buckets.(l - 1)
+    done;
+    Array.iter (fun b -> fronts_rev := Array.of_list b :: !fronts_rev) buckets;
+    start := stop
+  done;
+  let fronts = Array.of_list (List.rev !fronts_rev) in
+  let max_width =
+    Array.fold_left (fun acc f -> max acc (Array.length f)) 0 fronts
+  in
+  let min_fail = ref None in
+  let min_fail_seq = ref max_int in
+  let record_failure t f =
+    if t.seq < !min_fail_seq then begin
+      min_fail := Some f;
+      min_fail_seq := t.seq
+    end
+  in
+  (* the single-threaded barrier commit: stream order within the
+     wavefront, mirroring BF's define-then-release per learned clause *)
+  let db = Proof.Kernel.db kernel in
+  let commit tasks results =
+    Array.iteri
+      (fun i t ->
+        match results.(i) with
+        | Skipped -> ()
+        | Fail f -> record_failure t f
+        | Single ->
+          if t.seq < !min_fail_seq then begin
+            let h = Proof.Kernel.find kernel ~context t.sources.(0) in
+            Proof.Kernel.record_external_chain kernel ~learned_id:t.id
+              ~steps:0 ~merges:0;
+            if Driver.count uses t.id > 0 then begin
+              Proof.Clause_db.retain db h;
+              Proof.Kernel.define kernel t.id h
+            end;
+            Array.iter (Driver.release uses kernel) t.sources
+          end
+        | Clause { lits; steps; merges } ->
+          if t.seq < !min_fail_seq then begin
+            let h = Proof.Clause_db.alloc_sorted db lits (Array.length lits) in
+            Proof.Kernel.record_external_chain kernel ~learned_id:t.id
+              ~steps ~merges;
+            if Driver.count uses t.id > 0 then Proof.Kernel.define kernel t.id h
+            else Proof.Clause_db.release db h;
+            Array.iter (Driver.release uses kernel) t.sources
+          end)
+      tasks;
+    Harness.Meter.free meter
+      (Array.fold_left (fun acc t -> acc + t.words) 0 tasks)
+  in
+  (* materialise the originals a wavefront resolves against before its
+     workers start, so the store is strictly read-only while they run *)
+  let materialise_originals tasks =
+    Array.iter
+      (fun t ->
+        Array.iter
+          (fun s ->
+            if
+              Proof.Kernel.is_original kernel s
+              && Proof.Kernel.peek kernel s = None
+            then ignore (Proof.Kernel.find kernel ~context s))
+          t.sources)
+      tasks
+  in
+  let pool = make_pool db in
+  let shards = Array.init jobs (fun _ -> Obs.Metrics.shard ()) in
+  let domains =
+    if jobs > 1 && Array.length fronts > 0 then
+      List.init jobs (fun i -> Domain.spawn (worker kernel pool shards.(i)))
+    else []
+  in
+  let inline_scratch = make_scratch () in
+  Driver.pass_two ~cat:"par" (fun () ->
+      Fun.protect
+        ~finally:(fun () -> shutdown pool domains)
+        (fun () ->
           Array.iter
-            (fun s ->
-              if
-                Proof.Kernel.is_original kernel s
-                && Proof.Kernel.peek kernel s = None
-              then ignore (Proof.Kernel.find kernel ~context s))
-            t.sources)
-        tasks
-    in
-    let pool = make_pool db in
-    let shards = Array.init jobs (fun _ -> Obs.Metrics.shard ()) in
-    let domains =
-      if jobs > 1 && Array.length fronts > 0 then
-        List.init jobs (fun i -> Domain.spawn (worker kernel pool shards.(i)))
-      else []
-    in
-    let inline_scratch = make_scratch () in
-    let (), pass_two_seconds =
-      Harness.Timer.wall_time (fun () ->
-          Obs.Span.scope ~cat:"par" "check.pass_two" @@ fun () ->
-          Fun.protect
-            ~finally:(fun () -> shutdown pool domains)
-            (fun () ->
-              Array.iter
-                (fun front ->
-                  let width = Array.length front in
-                  let sp =
-                    Obs.Span.enter ~cat:"par"
-                      ~args:[ ("width", width) ] "check.wavefront"
-                  in
-                  materialise_originals front;
-                  (* freeze after materialisation: the view must cover
-                     every original this wavefront resolves against, and
-                     any relocation the materialisation caused *)
-                  let view = Proof.Clause_db.freeze db in
-                  let results = Array.make width Skipped in
-                  if domains = [] then
-                    Array.iteri
-                      (fun i t ->
-                        results.(i) <-
-                          (if t.seq >= !min_fail_seq then Skipped
-                           else run_task kernel view inline_scratch t))
-                      front
-                  else begin
-                    dispatch pool front results ~view ~limit_seq:!min_fail_seq
-                      ~jobs;
-                    (* [dispatch] returning is the barrier: every worker is
-                       idle again, so folding the shards races with no one *)
-                    if Obs.Ctl.on () then
-                      Array.iter
-                        (Obs.Metrics.merge_shard Obs.Metrics.global)
-                        shards;
-                    match pool.crashed with
-                    | Some e -> raise e
-                    | None -> ()
-                  end;
-                  commit front results;
-                  if Obs.Ctl.on () then begin
-                    Obs.Metrics.Counter.incr m_fronts 1;
-                    Obs.Metrics.Histogram.observe m_width width;
-                    Obs.Sampler.tick ()
-                  end;
-                  if Obs.Journal.on () then
-                    Obs.Journal.record ~sub:"par" "wavefront"
-                      [ ("width", width); ("jobs", jobs) ];
-                  Obs.Span.leave sp)
-                fronts;
-              match !min_fail with
-              | Some f -> Diagnostics.fail f
-              | None ->
-                let fetch id =
-                  Proof.Kernel.find kernel
-                    ~context:"empty-clause construction" id
-                in
-                let (_ : int) =
-                  Proof.Kernel.final_chain_ids kernel ~l0 ~fetch
-                    ~conflict_id:conf_id
-                in
-                ()))
-    in
-    let c = Proof.Kernel.counters kernel in
-    Ok {
-      Report.clauses_built = c.Proof.Kernel.clauses_built;
-      total_learned = pass.Proof.Kernel.total_learned;
-      resolution_steps = c.Proof.Kernel.resolution_steps;
-      core_original_ids = [];
-      learned_built_ids = Proof.Kernel.built_ids kernel;
-      core_vars = 0;
-      peak_mem_words = Harness.Meter.peak_words meter;
-      peak_live_clauses = c.Proof.Kernel.peak_live_clauses;
-      arena_bytes_resident = c.Proof.Kernel.arena_peak_bytes;
-      jobs;
-      wavefronts = Array.length fronts;
-      max_wavefront_width = max_width;
-      pass_one_seconds;
-      pass_two_seconds;
-    }
-  with
-  | Diagnostics.Check_failed f -> Error f
-  | Trace.Reader.Parse_error { pos; msg } ->
-    Error (Diagnostics.of_parse_error ~pos msg)
+            (fun front ->
+              let width = Array.length front in
+              let sp =
+                Obs.Span.enter ~cat:"par"
+                  ~args:[ ("width", width) ] "check.wavefront"
+              in
+              materialise_originals front;
+              (* freeze after materialisation: the view must cover
+                 every original this wavefront resolves against, and
+                 any relocation the materialisation caused *)
+              let view = Proof.Clause_db.freeze db in
+              let results = Array.make width Skipped in
+              if domains = [] then
+                Array.iteri
+                  (fun i t ->
+                    results.(i) <-
+                      (if t.seq >= !min_fail_seq then Skipped
+                       else run_task kernel view inline_scratch t))
+                  front
+              else begin
+                dispatch pool front results ~view ~limit_seq:!min_fail_seq
+                  ~jobs;
+                (* [dispatch] returning is the barrier: every worker is
+                   idle again, so folding the shards races with no one *)
+                if Obs.Ctl.on () then
+                  Array.iter
+                    (Obs.Metrics.merge_shard Obs.Metrics.global)
+                    shards;
+                match pool.crashed with
+                | Some e -> raise e
+                | None -> ()
+              end;
+              commit front results;
+              if Obs.Ctl.on () then begin
+                Obs.Metrics.Counter.incr m_fronts 1;
+                Obs.Metrics.Histogram.observe m_width width;
+                Obs.Sampler.tick ()
+              end;
+              if Obs.Journal.on () then
+                Obs.Journal.record ~sub:"par" "wavefront"
+                  [ ("width", width); ("jobs", jobs) ];
+              Obs.Span.leave sp)
+            fronts;
+          match !min_fail with
+          | Some f -> Proof.Diagnostics.fail f
+          | None -> ignore (Driver.final_chain kernel ~l0 conf_id)));
+  Driver.report kernel ~total_learned:pass.total_learned ~jobs
+    ~wavefronts:(Array.length fronts) ~max_wavefront_width:max_width

@@ -49,4 +49,4 @@ val check :
   ?first_pass:Trace.Source.t ->
   Sat.Cnf.t ->
   Trace.Reader.source ->
-  (Report.t, Diagnostics.failure) result
+  (Report.t, Proof.Diagnostics.failure) result

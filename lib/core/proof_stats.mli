@@ -21,6 +21,6 @@ type t = {
 (** [analyze f source] validates the trace breadth-first while measuring
     it. *)
 val analyze :
-  Sat.Cnf.t -> Trace.Reader.source -> (t, Diagnostics.failure) result
+  Sat.Cnf.t -> Trace.Reader.source -> (t, Proof.Diagnostics.failure) result
 
 val pp : Format.formatter -> t -> unit

@@ -11,8 +11,6 @@ type t = {
   jobs : int;
   wavefronts : int;
   max_wavefront_width : int;
-  pass_one_seconds : float;
-  pass_two_seconds : float;
 }
 
 let built_ratio r =
@@ -29,16 +27,14 @@ let pp fmt r =
     r.resolution_steps
     (List.length r.core_original_ids)
     r.core_vars r.peak_mem_words r.peak_live_clauses r.arena_bytes_resident;
-  (* the parallel checker's schedule shape; elapsed seconds stay out of
-     the report text so checker output is reproducible *)
+  (* the parallel checker's schedule shape *)
   if r.wavefronts > 0 then
     Format.fprintf fmt "@,wavefronts: %d (max width %d, %d jobs)"
       r.wavefronts r.max_wavefront_width r.jobs;
   Format.fprintf fmt "@]"
 
-(* Same reproducibility contract as [pp]: elapsed seconds stay out, so
-   the JSON is byte-identical across runs (and with telemetry on/off —
-   the identity cram test diffs exactly this output). *)
+(* Byte-identical across runs and with telemetry on/off — the identity
+   cram test diffs exactly this output. *)
 let to_json r =
   let buf = Buffer.create 512 in
   let ids l =
@@ -72,36 +68,3 @@ let to_json r =
        "\"jobs\":%d,\n\"wavefronts\":%d,\n\"max_wavefront_width\":%d\n}"
        r.jobs r.wavefronts r.max_wavefront_width);
   Buffer.contents buf
-
-(* Telemetry handles for the folded-in report statistics; set once per
-   check from the success path of every checker. *)
-let g_built = Obs.Metrics.gauge Obs.Metrics.global "checker.clauses_built"
-let g_learned = Obs.Metrics.gauge Obs.Metrics.global "checker.total_learned"
-let g_steps = Obs.Metrics.gauge Obs.Metrics.global "checker.resolution_steps"
-let g_core = Obs.Metrics.gauge Obs.Metrics.global "checker.core_clauses"
-let g_peak_mem = Obs.Metrics.gauge Obs.Metrics.global "checker.peak_mem_words"
-let g_peak_live =
-  Obs.Metrics.gauge Obs.Metrics.global "kernel.peak_live_clauses"
-let g_arena_peak =
-  Obs.Metrics.gauge Obs.Metrics.global "kernel.arena_peak_bytes"
-let g_jobs = Obs.Metrics.gauge Obs.Metrics.global "par.jobs"
-let g_wavefronts = Obs.Metrics.gauge Obs.Metrics.global "par.wavefronts"
-let g_max_width =
-  Obs.Metrics.gauge Obs.Metrics.global "par.max_wavefront_width"
-
-let observe r =
-  if Obs.Ctl.on () then begin
-    let set g v = Obs.Metrics.Gauge.set g (float_of_int v) in
-    set g_built r.clauses_built;
-    set g_learned r.total_learned;
-    set g_steps r.resolution_steps;
-    set g_core (List.length r.core_original_ids);
-    set g_peak_mem r.peak_mem_words;
-    set g_peak_live r.peak_live_clauses;
-    set g_arena_peak r.arena_bytes_resident;
-    if r.wavefronts > 0 then begin
-      set g_jobs r.jobs;
-      set g_wavefronts r.wavefronts;
-      set g_max_width r.max_wavefront_width
-    end
-  end

@@ -18,7 +18,7 @@ type t = {
   learned_built_ids : int list;
       (** IDs of the learned clauses the checker constructed — for the
           depth-first checker this is exactly the proof-relevant set,
-          which {!Trim} persists as a trimmed trace *)
+          which a trimmed trace keeps *)
   core_vars : int;
       (** distinct variables among the core clauses *)
   peak_mem_words : int;
@@ -36,28 +36,17 @@ type t = {
   max_wavefront_width : int;
       (** learned clauses in the widest wavefront — an upper bound on
           exploitable parallelism; 0 for the sequential checkers *)
-  pass_one_seconds : float;
-      (** wall-clock seconds spent in pass one (counting / loading) *)
-  pass_two_seconds : float;
-      (** wall-clock seconds spent in pass two (reconstruction and the
-          empty-clause chain) *)
 }
 
 (** [built_ratio r] is Table 2's "Built%" — constructed learned clauses
     over total learned clauses ([1.0] when nothing was learned). *)
 val built_ratio : t -> float
 
-(** [pp] prints every reproducible statistic; elapsed seconds are
-    deliberately omitted so checker output can be diffed across runs. *)
+(** [pp] prints every statistic.  The report holds no timings (spans
+    time the passes), so checker output can be diffed across runs. *)
 val pp : Format.formatter -> t -> unit
 
-(** [to_json r] renders the same reproducible statistics (no elapsed
-    seconds) as one deterministic JSON object with a stable field order —
+(** [to_json r] renders the same statistics as one deterministic JSON
+    object with a stable field order —
     the payload behind [rescheck check --json]. *)
 val to_json : t -> string
-
-(** [observe r] publishes the report's scalar statistics as telemetry
-    gauges ([checker.*] plus the [par.*] schedule shape) so the run
-    profile carries them under the same schema for every checker.  No-op
-    when telemetry is off. *)
-val observe : t -> unit

@@ -48,7 +48,6 @@ let spill_close s =
 
 type state = {
   kernel : Proof.Kernel.t;
-  counts : (int, int) Hashtbl.t;
   live : (int, unit) Hashtbl.t;      (* learned ids resident in the arena *)
   orig_live : (int, unit) Hashtbl.t; (* originals materialised this window *)
   spill : spill;
@@ -61,18 +60,12 @@ type state = {
   mutable max_resident : int;
 }
 
-let get_count st id = Option.value ~default:0 (Hashtbl.find_opt st.counts id)
-
-let release_use st id =
-  match get_count st id with
-  | 0 -> ()
-  | n when n <= 1 ->
-    Hashtbl.remove st.counts id;
-    Proof.Kernel.release_id st.kernel id;
-    Hashtbl.remove st.live id;
-    Hashtbl.remove st.orig_live id;
-    Hashtbl.remove st.spill.index id
-  | n -> Hashtbl.replace st.counts id (n - 1)
+(* a clause whose uses drained leaves the window and the spill index *)
+let drained st id =
+  Proof.Kernel.release_id st.kernel id;
+  Hashtbl.remove st.live id;
+  Hashtbl.remove st.orig_live id;
+  Hashtbl.remove st.spill.index id
 
 let ensure_scratch st n =
   if Array.length st.scratch < n then
@@ -154,46 +147,25 @@ let drop_transients st =
   List.iter (fun h -> Proof.Clause_db.release db h) st.transients;
   st.transients <- []
 
-let build_pass st ~window cur =
-  let k = st.kernel in
-  let context = "breadth-first reconstruction" in
-  let fetch = fetch st ~context in
-  Trace.Reader.rewind cur;
-  Trace.Reader.iter_cursor cur (fun e ->
-      match e with
-      | Trace.Event.Header _ | Trace.Event.Level0 _
-      | Trace.Event.Final_conflict _ | Trace.Event.Delete _ -> ()
-      | Trace.Event.Learned l ->
-        let h =
-          Proof.Kernel.chain_ids k ~context ~fetch ~learned_id:l.id l.sources
-        in
-        drop_transients st;
-        if get_count st l.id > 0 then begin
-          Proof.Kernel.define k l.id h;
-          Hashtbl.replace st.live l.id ();
-          let r = Hashtbl.length st.live in
-          if r > st.max_resident then st.max_resident <- r
-        end
-        else Proof.Clause_db.release (Proof.Kernel.db k) h;
-        Array.iter (fun s -> release_use st s) l.sources;
-        st.fill <- st.fill + 1;
-        if st.fill >= window then boundary st)
+(* After each rebuilt record: drop its transient reloads, track the
+   resident set, and shift the window once it is full. *)
+let after_record st ~window id =
+  drop_transients st;
+  if Proof.Kernel.defined st.kernel id then begin
+    Hashtbl.replace st.live id ();
+    let r = Hashtbl.length st.live in
+    if r > st.max_resident then st.max_resident <- r
+  end;
+  st.fill <- st.fill + 1;
+  if st.fill >= window then boundary st
 
 let check ?meter ?format ?io ?first_pass ?on_stats ~window formula source =
   if window < 1 then
     invalid_arg "Window.check: window size must be at least 1";
-  let meter =
-    match meter with Some m -> m | None -> Harness.Meter.create ()
-  in
-  let kernel = Proof.Kernel.create ~meter formula in
-  let l0 = Proof.Level0.create () in
-  let stream =
-    Proof.Kernel.stream_start kernel ~stream_order:true ~l0 ()
-  in
+  let kernel = Proof.Kernel.create ?meter formula in
   let st =
     {
       kernel;
-      counts = Hashtbl.create 4096;
       live = Hashtbl.create 256;
       orig_live = Hashtbl.create 256;
       spill = spill_create ();
@@ -206,8 +178,7 @@ let check ?meter ?format ?io ?first_pass ?on_stats ~window formula source =
       max_resident = 0;
     }
   in
-  let add_use id = Hashtbl.replace st.counts id (1 + get_count st id) in
-  let finish () =
+  let cleanup () =
     spill_close st.spill;
     if Obs.Ctl.on () then begin
       Obs.Metrics.Gauge.set g_resident (float_of_int st.max_resident);
@@ -224,78 +195,24 @@ let check ?meter ?format ?io ?first_pass ?on_stats ~window formula source =
           max_resident = st.max_resident;
         }
   in
-  try
-    (* pass one: breadth-first's validating/counting pass *)
-    let (), pass_one_seconds =
-      Harness.Timer.wall_time (fun () ->
-          Obs.Span.scope ~cat:"window" "check.pass_one" @@ fun () ->
-          let src =
-            match first_pass with
-            | Some s -> s
-            | None ->
-              Trace.Source.of_cursor ~close_cursor:true
-                (Trace.Reader.cursor ?format ?io source)
-          in
-          Fun.protect
-            ~finally:(fun () -> Trace.Source.close src)
-            (fun () ->
-              Trace.Source.iter
-                (fun e ->
-                  Proof.Kernel.stream_feed stream e;
-                  match e with
-                  | Trace.Event.Header _ -> ()
-                  | Trace.Event.Learned l -> Array.iter add_use l.sources
-                  | Trace.Event.Level0 v -> add_use v.ante
-                  | Trace.Event.Final_conflict id -> add_use id
-                  (* unreachable: stream_feed refuses hints first *)
-                  | Trace.Event.Delete _ -> ())
-                src))
-    in
-    let pass = Proof.Kernel.stream_finish stream in
-    let conf_id =
-      match pass.Proof.Kernel.final_conflict with
-      | Some id -> id
-      | None -> Diagnostics.fail Diagnostics.Missing_final_conflict
-    in
-    (* pass two: windowed reconstruction with eager frees and spills *)
-    let (), pass_two_seconds =
-      Harness.Timer.wall_time (fun () ->
-          Obs.Span.scope ~cat:"window" "check.pass_two" @@ fun () ->
-          let cur = Trace.Reader.cursor ?format ?io source in
-          build_pass st ~window cur;
-          Trace.Reader.close cur;
-          let fetch = fetch st ~context:"empty-clause construction" in
-          let (_ : int) =
-            Proof.Kernel.final_chain_ids kernel ~l0 ~fetch
-              ~conflict_id:conf_id
-          in
-          drop_transients st)
-    in
-    let c = Proof.Kernel.counters kernel in
-    let r =
-      {
-        Report.clauses_built = c.Proof.Kernel.clauses_built;
-        total_learned = pass.Proof.Kernel.total_learned;
-        resolution_steps = c.Proof.Kernel.resolution_steps;
-        core_original_ids = [];
-        learned_built_ids = Proof.Kernel.built_ids kernel;
-        core_vars = 0;
-        peak_mem_words = Harness.Meter.peak_words meter;
-        peak_live_clauses = c.Proof.Kernel.peak_live_clauses;
-        arena_bytes_resident = c.Proof.Kernel.arena_peak_bytes;
-        jobs = 1;
-        wavefronts = 0;
-        max_wavefront_width = 0;
-        pass_one_seconds;
-        pass_two_seconds;
-      }
-    in
-    finish ();
-    Ok r
-  with
-  | Diagnostics.Check_failed f ->
-    finish ();
-    Error f
-  | Trace.Reader.Parse_error { pos; msg } ->
-    finish ();
-    Error (Diagnostics.of_parse_error ~pos msg)
+  Driver.run ~cleanup @@ fun () ->
+  (* pass one: breadth-first's validating/counting pass *)
+  let l0 = Proof.Level0.create () in
+  let stream = Proof.Kernel.stream_start kernel ~stream_order:true ~l0 () in
+  let uses = Driver.uses () in
+  Driver.pass_one ~cat:"window" (Driver.source ?format ?io ?first_pass source)
+    (Trace.Source.iter (fun e ->
+         Proof.Kernel.stream_feed stream e;
+         Driver.count_uses uses e));
+  let pass = Proof.Kernel.stream_finish stream in
+  let conf_id = Driver.conflict pass.final_conflict in
+  (* pass two: windowed reconstruction with eager frees and spills *)
+  Driver.pass_two ~cat:"window" (fun () ->
+      Driver.rebuild kernel uses ~context:"breadth-first reconstruction"
+        ~fetch:(fetch st ~context:"breadth-first reconstruction")
+        ~drained:(drained st) ~on_record:(after_record st ~window) ?format ?io
+        source;
+      let fetch = fetch st ~context:"empty-clause construction" in
+      ignore (Driver.final_chain kernel ~l0 ~fetch conf_id);
+      drop_transients st);
+  Driver.report kernel ~total_learned:pass.total_learned

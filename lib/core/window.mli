@@ -21,13 +21,15 @@ type stats = {
   windows : int;      (** boundaries crossed *)
   spilled : int;      (** learned clauses written to the spill file *)
   reloaded : int;     (** transient reloads from the spill file *)
-  max_resident : int; (** high-water arena-resident learned clauses —
-                          never exceeds the configured window size *)
+  max_resident : int; (** high-water arena-resident learned clauses
+                          between records — never exceeds the configured
+                          window size *)
 }
 
 (** [check ~window formula source] checks the trace with window-shifted
-    reconstruction; [on_stats] receives the scheduler counters just
-    before the verdict is returned (on failures too).
+    reconstruction; [on_stats] receives the scheduler counters on every
+    exit, failures and escaping exceptions included, once the spill file
+    is gone.
     @raise Invalid_argument when [window < 1]; pass [max_int] for an
     unbounded window (plain breadth-first scheduling). *)
 val check :
@@ -39,4 +41,4 @@ val check :
   window:int ->
   Sat.Cnf.t ->
   Trace.Reader.source ->
-  (Report.t, Diagnostics.failure) result
+  (Report.t, Proof.Diagnostics.failure) result

@@ -5,7 +5,7 @@ module R = Bdd.Robdd
 type bmc_result =
   | Cex of int
   | Safe_up_to of int
-  | Check_failed of Checker.Diagnostics.failure
+  | Check_failed of Proof.Diagnostics.failure
 
 (* unroll [depth] frames from the constant initial state and return the
    violation node at the final frame *)
@@ -35,7 +35,7 @@ let bmc ?config ~max_depth ts =
         | Validate.Unsat_verified _ -> loop (depth + 1)
         | Validate.Sat_model_wrong i ->
           Check_failed
-            (Checker.Diagnostics.malformed
+            (Proof.Diagnostics.malformed
                (Printf.sprintf
                   "solver returned a model that falsifies clause %d" i))
         | Validate.Unsat_check_failed d -> Check_failed d)
@@ -47,7 +47,7 @@ type mc_result =
   | Proved_safe of { iterations : int; reachable_nodes : int }
   | Counterexample of { depth : int }
   | Inconclusive of { iterations : int }
-  | Mc_check_failed of Checker.Diagnostics.failure
+  | Mc_check_failed of Proof.Diagnostics.failure
 
 (* A-side: R(s0) ∧ one transition; returns its CNF and the CNF variables
    of the cut (the s1 signals).  Cut variables may alias when two state

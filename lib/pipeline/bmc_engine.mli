@@ -18,7 +18,7 @@
 type bmc_result =
   | Cex of int          (** property violated at this depth *)
   | Safe_up_to of int   (** no violation up to (and including) the bound *)
-  | Check_failed of Checker.Diagnostics.failure
+  | Check_failed of Proof.Diagnostics.failure
       (** an UNSAT answer whose proof did not validate *)
 
 (** [bmc ?config ~max_depth ts] checks depths [0 .. max_depth] in order. *)
@@ -38,7 +38,7 @@ type mc_result =
           bound; {!bmc} finds the minimal depth) *)
   | Inconclusive of { iterations : int }
       (** iteration budget exhausted before a fixpoint *)
-  | Mc_check_failed of Checker.Diagnostics.failure
+  | Mc_check_failed of Proof.Diagnostics.failure
 
 (** [interpolation_mc ?config ?initial_depth ?max_iterations ts] — the
     unbounded procedure.  [initial_depth] is the length of the unrolled

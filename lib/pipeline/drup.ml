@@ -1,4 +1,4 @@
-module D = Checker.Diagnostics
+module D = Proof.Diagnostics
 
 (* Rebuild every learned clause in stream order (the breadth-first
    discipline) through the shared kernel and record its literals. *)

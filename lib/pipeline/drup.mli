@@ -14,7 +14,7 @@
 val of_trace :
   Sat.Cnf.t ->
   Trace.Reader.source ->
-  (Sat.Clause.t list, Checker.Diagnostics.failure) result
+  (Sat.Clause.t list, Proof.Diagnostics.failure) result
 
 (** [to_string derivation] renders standard DRUP text: one clause per
     line, DIMACS literals, 0-terminated (the final "0" line is the empty

@@ -1,5 +1,5 @@
 module N = Circuit.Netlist
-module D = Checker.Diagnostics
+module D = Proof.Diagnostics
 
 type t = {
   circuit : N.t;

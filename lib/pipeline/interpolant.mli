@@ -35,7 +35,7 @@ val compute :
   Sat.Cnf.t ->
   a_indices:int list ->
   Trace.Reader.source ->
-  (t, Checker.Diagnostics.failure) result
+  (t, Proof.Diagnostics.failure) result
 
 (** [of_formulas a b] is the convenience wrapper: conjoins [a] and [b]
     over a shared variable space, solves with tracing, and interpolates.
@@ -45,7 +45,7 @@ val of_formulas :
   Sat.Cnf.t ->
   Sat.Cnf.t ->
   (t, [ `Sat of Sat.Assignment.t
-      | `Check_failed of Checker.Diagnostics.failure ]) result
+      | `Check_failed of Proof.Diagnostics.failure ]) result
 
 (** [eval itp valuation] evaluates the interpolant under a valuation of
     the shared variables (missing variables default to false). *)

@@ -27,7 +27,7 @@ val extract :
   ?config:Solver.Cdcl.config ->
   ?pre:bool ->
   Sat.Cnf.t ->
-  (core, [ `Sat | `Check_failed of Checker.Diagnostics.failure ]) result
+  (core, [ `Sat | `Check_failed of Proof.Diagnostics.failure ]) result
 
 type iteration = { clauses : int; vars : int }
 
@@ -50,4 +50,4 @@ val shrink :
   ?pre:bool ->
   ?max_rounds:int ->
   Sat.Cnf.t ->
-  (shrink_outcome, [ `Sat | `Check_failed of Checker.Diagnostics.failure ]) result
+  (shrink_outcome, [ `Sat | `Check_failed of Proof.Diagnostics.failure ]) result

@@ -11,7 +11,7 @@ type verdict =
   | Sat_verified of Sat.Assignment.t
   | Unsat_verified of Checker.Report.t
   | Sat_model_wrong of int
-  | Unsat_check_failed of Checker.Diagnostics.failure
+  | Unsat_check_failed of Proof.Diagnostics.failure
 
 type online_info = {
   peak_buffered_bytes : int;
@@ -86,12 +86,6 @@ let solve_with_trace ?config ?(version = 1) ?(format = Trace.Writer.Ascii)
   in
   (result, stats, trace)
 
-let observe_verdict v =
-  if Obs.Ctl.on () then
-    match v with
-    | Unsat_verified report -> Checker.Report.observe report
-    | Sat_verified _ | Sat_model_wrong _ | Unsat_check_failed _ -> ()
-
 let run_buffered ?config ?format ~strategy ?meter ~analyze ~pre f =
   (* the hinted strategy asks the solver for native deletion hints,
      which need a version-2 trace *)
@@ -141,7 +135,6 @@ let run_buffered ?config ?format ~strategy ?meter ~analyze ~pre f =
       | Error _ -> None
     else None
   in
-  observe_verdict verdict;
   { verdict; stats; trace_bytes = String.length trace; solve_seconds;
     check_seconds; online = None; dag; pre = pre_stats }
 
@@ -224,8 +217,7 @@ let run_online ?config ~format ?meter ~analyze ~pre f =
               | Ok report -> Unsat_verified report
               | Error failure -> Unsat_check_failed failure))
       in
-      observe_verdict verdict;
-      (* a SAT answer's partial trace has no conflict, so the analyzer
+          (* a SAT answer's partial trace has no conflict, so the analyzer
          legitimately refuses it — the profile is simply absent *)
       let dag =
         match dag_stream with

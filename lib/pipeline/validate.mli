@@ -37,7 +37,7 @@ type verdict =
   | Sat_model_wrong of int
       (** solver said SAT but clause [i] (0-based) is not satisfied: the
           solver is buggy *)
-  | Unsat_check_failed of Checker.Diagnostics.failure
+  | Unsat_check_failed of Proof.Diagnostics.failure
       (** solver said UNSAT but the proof does not check: the solver (or
           its trace generation) is buggy *)
 

@@ -68,17 +68,17 @@ let differential_battery ?(config = Solver.Cdcl.default_config) ~seed ~rounds
         | Ok _ -> ()
         | Error d ->
           Alcotest.failf "round %d: DF check failed: %s" round
-            (Checker.Diagnostics.to_string d));
+            (Proof.Diagnostics.to_string d));
        (match Checker.Bf.check f src with
         | Ok _ -> ()
         | Error d ->
           Alcotest.failf "round %d: BF check failed: %s" round
-            (Checker.Diagnostics.to_string d));
+            (Proof.Diagnostics.to_string d));
        (match Checker.Hybrid.check f src with
         | Ok _ -> ()
         | Error d ->
           Alcotest.failf "round %d: hybrid check failed: %s" round
-            (Checker.Diagnostics.to_string d)))
+            (Proof.Diagnostics.to_string d)))
   done;
   !n_unsat
 
@@ -105,7 +105,7 @@ let expect_df_failure f events pred name =
   | Error d ->
     if not (pred d) then
       Alcotest.failf "%s: unexpected diagnostic: %s" name
-        (Checker.Diagnostics.to_string d)
+        (Proof.Diagnostics.to_string d)
 
 let expect_bf_failure f events pred name =
   match Checker.Bf.check f (events_to_source events) with
@@ -113,7 +113,7 @@ let expect_bf_failure f events pred name =
   | Error d ->
     if not (pred d) then
       Alcotest.failf "%s: unexpected diagnostic: %s" name
-        (Checker.Diagnostics.to_string d)
+        (Proof.Diagnostics.to_string d)
 
 (* --- qcheck plumbing ---------------------------------------------------- *)
 

@@ -11,7 +11,7 @@ let () =
    @ Test_bf.suite @ Test_hybrid.suite @ Test_par.suite
    @ Test_hint.suite @ Test_window.suite
    @ Test_cross_checker.suite
-   @ Test_trim.suite @ Test_rup.suite @ Test_lint.suite @ Test_dag.suite
+   @ Test_rup.suite @ Test_lint.suite @ Test_dag.suite
    @ Test_explain.suite
    @ Test_clause_db.suite
    @ Test_proof_stats.suite

@@ -2,7 +2,7 @@
    stream-order strictness, the bounded-memory guarantee, and rejection of
    corrupted traces. *)
 
-module D = Checker.Diagnostics
+module D = Proof.Diagnostics
 
 let ev_header nvars num_original = Trace.Event.Header { nvars; num_original }
 let ev_cl id sources = Trace.Event.Learned { id; sources }

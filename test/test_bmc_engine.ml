@@ -8,14 +8,14 @@ let test_bmc_safe_ring () =
   | B.Safe_up_to 6 -> ()
   | B.Safe_up_to d -> Alcotest.failf "wrong bound %d" d
   | B.Cex d -> Alcotest.failf "false counterexample at %d" d
-  | B.Check_failed x -> Alcotest.failf "check: %s" (Checker.Diagnostics.to_string x)
+  | B.Check_failed x -> Alcotest.failf "check: %s" (Proof.Diagnostics.to_string x)
 
 let test_bmc_buggy_ring () =
   match B.bmc ~max_depth:6 (T.token_ring_buggy ~nodes:5) with
   | B.Cex 1 -> ()  (* one glitched step duplicates the token *)
   | B.Cex d -> Alcotest.failf "expected depth 1, got %d" d
   | B.Safe_up_to _ -> Alcotest.fail "missed the bug"
-  | B.Check_failed x -> Alcotest.failf "check: %s" (Checker.Diagnostics.to_string x)
+  | B.Check_failed x -> Alcotest.failf "check: %s" (Proof.Diagnostics.to_string x)
 
 let test_bmc_counter_minimal_depth () =
   (* target 5 needs exactly 5 increments *)
@@ -25,7 +25,7 @@ let test_bmc_counter_minimal_depth () =
   | B.Cex 5 -> ()
   | B.Cex d -> Alcotest.failf "expected minimal depth 5, got %d" d
   | B.Safe_up_to _ -> Alcotest.fail "missed reachable target"
-  | B.Check_failed x -> Alcotest.failf "check: %s" (Checker.Diagnostics.to_string x)
+  | B.Check_failed x -> Alcotest.failf "check: %s" (Proof.Diagnostics.to_string x)
 
 let test_bmc_counter_unreachable () =
   (* saturation at 5 keeps the counter below target 9 forever *)
@@ -35,7 +35,7 @@ let test_bmc_counter_unreachable () =
   | B.Safe_up_to 10 -> ()
   | B.Safe_up_to d -> Alcotest.failf "wrong bound %d" d
   | B.Cex d -> Alcotest.failf "false counterexample at %d" d
-  | B.Check_failed x -> Alcotest.failf "check: %s" (Checker.Diagnostics.to_string x)
+  | B.Check_failed x -> Alcotest.failf "check: %s" (Proof.Diagnostics.to_string x)
 
 let test_bmc_bad_init () =
   (* target 0 is the initial counter value: violated at depth 0 *)
@@ -45,7 +45,7 @@ let test_bmc_bad_init () =
   | B.Cex 0 -> ()
   | B.Cex d -> Alcotest.failf "expected depth 0, got %d" d
   | B.Safe_up_to _ -> Alcotest.fail "missed initial violation"
-  | B.Check_failed x -> Alcotest.failf "check: %s" (Checker.Diagnostics.to_string x)
+  | B.Check_failed x -> Alcotest.failf "check: %s" (Proof.Diagnostics.to_string x)
 
 let expect_safe name r =
   match r with
@@ -58,7 +58,7 @@ let expect_safe name r =
     Alcotest.failf "%s: false counterexample at %d" name depth
   | B.Inconclusive _ -> Alcotest.failf "%s: inconclusive" name
   | B.Mc_check_failed d ->
-    Alcotest.failf "%s: %s" name (Checker.Diagnostics.to_string d)
+    Alcotest.failf "%s: %s" name (Proof.Diagnostics.to_string d)
 
 let expect_cex name ~max_depth r =
   match r with
@@ -68,7 +68,7 @@ let expect_cex name ~max_depth r =
   | B.Proved_safe _ -> Alcotest.failf "%s: proved an unsafe system safe" name
   | B.Inconclusive _ -> Alcotest.failf "%s: inconclusive" name
   | B.Mc_check_failed d ->
-    Alcotest.failf "%s: %s" name (Checker.Diagnostics.to_string d)
+    Alcotest.failf "%s: %s" name (Proof.Diagnostics.to_string d)
 
 let test_mc_ring_unbounded () =
   expect_safe "ring" (B.interpolation_mc (T.token_ring ~nodes:5))

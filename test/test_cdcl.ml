@@ -30,7 +30,7 @@ let test_trivial_cases () =
      match Checker.Df.check g (Trace.Reader.From_string trace) with
      | Ok _ -> ()
      | Error d -> Alcotest.failf "empty-clause trace rejected: %s"
-         (Checker.Diagnostics.to_string d))
+         (Proof.Diagnostics.to_string d))
    | Solver.Cdcl.Sat _ -> Alcotest.fail "empty clause is unsat")
 
 let test_contradicting_units () =
@@ -46,7 +46,7 @@ let test_contradicting_units () =
       Alcotest.check Alcotest.int "no learned clauses needed" 0
         r.Checker.Report.total_learned
     | Error d -> Alcotest.failf "unit-conflict trace rejected: %s"
-        (Checker.Diagnostics.to_string d))
+        (Proof.Diagnostics.to_string d))
   | Solver.Cdcl.Sat _ -> Alcotest.fail "x and not-x is unsat"
 
 let test_tautologies_and_duplicates () =
@@ -73,7 +73,7 @@ let test_tautologies_and_duplicates () =
     match Checker.Df.check g (Trace.Reader.From_string trace) with
     | Ok _ -> ()
     | Error d -> Alcotest.failf "degenerate trace rejected: %s"
-        (Checker.Diagnostics.to_string d))
+        (Proof.Diagnostics.to_string d))
   | Solver.Cdcl.Sat a ->
     Alcotest.check Alcotest.bool "model" true (Sat.Model.satisfies a g)
 

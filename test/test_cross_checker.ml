@@ -22,7 +22,7 @@ let check_instance ~round f trace =
     | Ok r -> r
     | Error d ->
       Alcotest.failf "round %d: %s rejected a valid trace: %s" round name
-        (Checker.Diagnostics.to_string d)
+        (Proof.Diagnostics.to_string d)
   in
   let df = get "DF" (fun f src -> Checker.Df.check f src) in
   let bf = get "BF" (fun f src -> Checker.Bf.check f src) in

@@ -230,7 +230,7 @@ let test_trim_php5 () =
   match Checker.Df.check f (Trace.Reader.From_string trace) with
   | Error d ->
     Alcotest.failf "df rejected the original: %s"
-      (Checker.Diagnostics.to_string d)
+      (Proof.Diagnostics.to_string d)
   | Ok df ->
     Alcotest.check
       (Alcotest.list Alcotest.int)
@@ -267,7 +267,7 @@ let check_identity fam_name fmt_name f trace =
     | Ok r -> r
     | Error d ->
       Alcotest.failf "%s rejected: %s" (tag label)
-        (Checker.Diagnostics.to_string d)
+        (Proof.Diagnostics.to_string d)
   in
   List.iter
     (fun (name, check) ->
@@ -301,7 +301,7 @@ let check_identity fam_name fmt_name f trace =
       | Error d ->
         Alcotest.failf "%s rejected: %s"
           (tag ("online " ^ label))
-          (Checker.Diagnostics.to_string d)
+          (Proof.Diagnostics.to_string d)
       | Ok olr ->
         Alcotest.check Alcotest.int
           (tag ("online " ^ label ^ " built"))

@@ -3,7 +3,7 @@
    traces with precise diagnostics, and the §3.2 by-products (Built%,
    unsat core). *)
 
-module D = Checker.Diagnostics
+module D = Proof.Diagnostics
 
 let ev_header nvars num_original = Trace.Event.Header { nvars; num_original }
 let ev_cl id sources = Trace.Event.Learned { id; sources }

@@ -27,7 +27,7 @@ let report_exn name = function
   | Ok r -> r
   | Error d ->
     Alcotest.failf "%s rejected a valid trace: %s" name
-      (Checker.Diagnostics.to_string d)
+      (Proof.Diagnostics.to_string d)
 
 (* the one-pass report must match breadth-first field for field *)
 let assert_bf_identical ~ck bf hint =
@@ -180,23 +180,23 @@ let test_solver_native_hints () =
     Alcotest.fail "no learned clauses in the native trace";
   (* ...and the non-hint engines refuse it at the version gate *)
   (match Checker.Bf.check f src with
-   | Error Checker.Diagnostics.Hints_unsupported -> ()
+   | Error Proof.Diagnostics.Hints_unsupported -> ()
    | Ok _ -> Alcotest.fail "BF accepted a hinted trace"
    | Error d ->
      Alcotest.failf "BF: expected Hints_unsupported, got %s"
-       (Checker.Diagnostics.to_string d));
+       (Proof.Diagnostics.to_string d));
   match Checker.Df.check f src with
-  | Error Checker.Diagnostics.Hints_unsupported -> ()
+  | Error Proof.Diagnostics.Hints_unsupported -> ()
   | Ok _ -> Alcotest.fail "DF accepted a hinted trace"
   | Error d ->
     Alcotest.failf "DF: expected Hints_unsupported, got %s"
-      (Checker.Diagnostics.to_string d)
+      (Proof.Diagnostics.to_string d)
 
 (* --- bad hints are rejected, with positions ----------------------------- *)
 
 let is_bad_hint ~substr = function
-  | Checker.Diagnostics.Positioned
-      { failure = Checker.Diagnostics.Bad_delete_hint { reason; _ }; _ } ->
+  | Proof.Diagnostics.Positioned
+      { failure = Proof.Diagnostics.Bad_delete_hint { reason; _ }; _ } ->
     let len = String.length substr in
     let n = String.length reason in
     let rec scan i =
@@ -211,7 +211,7 @@ let expect_hint_failure f events ~substr name =
   | Error d ->
     if not (is_bad_hint ~substr d) then
       Alcotest.failf "%s: unexpected diagnostic: %s" name
-        (Checker.Diagnostics.to_string d)
+        (Proof.Diagnostics.to_string d)
 
 (* insert [x] right after the first event satisfying [p] *)
 let insert_after p x events =
@@ -304,7 +304,7 @@ let test_late_hints_still_verify () =
   | Ok _ -> ()
   | Error d ->
     Alcotest.failf "late hints rejected: %s"
-      (Checker.Diagnostics.to_string d)
+      (Proof.Diagnostics.to_string d)
 
 let suite =
   [

@@ -2,7 +2,7 @@
    traces, the best-of-both resource profile, and strictness equal to the
    breadth-first pass. *)
 
-module D = Checker.Diagnostics
+module D = Proof.Diagnostics
 
 let check_all f trace =
   let src = Trace.Reader.From_string trace in

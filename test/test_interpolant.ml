@@ -68,7 +68,7 @@ let test_php_partition () =
    | Solver.Cdcl.Unsat -> ()
    | Solver.Cdcl.Sat _ -> Alcotest.fail "php unsat");
   match I.compute f ~a_indices (Trace.Reader.From_string trace) with
-  | Error d -> Alcotest.failf "compute: %s" (Checker.Diagnostics.to_string d)
+  | Error d -> Alcotest.failf "compute: %s" (Proof.Diagnostics.to_string d)
   | Ok itp ->
     Alcotest.check Alcotest.bool "nontrivial circuit" true (I.size itp > 0);
     verify_properties a b itp n

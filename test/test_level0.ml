@@ -1,49 +1,49 @@
 (* Tests for the level-0 record set and the antecedent check. *)
 
 let make records =
-  let l0 = Checker.Level0.create () in
+  let l0 = Proof.Level0.create () in
   List.iter
-    (fun (var, value, ante) -> Checker.Level0.add l0 ~var ~value ~ante)
+    (fun (var, value, ante) -> Proof.Level0.add l0 ~var ~value ~ante)
     records;
   l0
 
 let test_accessors () =
   let l0 = make [ (3, true, 10); (5, false, 11) ] in
-  Alcotest.check Alcotest.int "count" 2 (Checker.Level0.count l0);
-  Alcotest.check Alcotest.bool "mem" true (Checker.Level0.mem l0 3);
-  Alcotest.check Alcotest.bool "value" true (Checker.Level0.value l0 3);
-  Alcotest.check Alcotest.int "ante" 11 (Checker.Level0.ante l0 5);
+  Alcotest.check Alcotest.int "count" 2 (Proof.Level0.count l0);
+  Alcotest.check Alcotest.bool "mem" true (Proof.Level0.mem l0 3);
+  Alcotest.check Alcotest.bool "value" true (Proof.Level0.value l0 3);
+  Alcotest.check Alcotest.int "ante" 11 (Proof.Level0.ante l0 5);
   Alcotest.check Alcotest.bool "order chronological" true
-    (Checker.Level0.order l0 3 < Checker.Level0.order l0 5)
+    (Proof.Level0.order l0 3 < Proof.Level0.order l0 5)
 
 let test_duplicate () =
   try
     ignore (make [ (3, true, 10); (3, false, 11) ]);
     Alcotest.fail "duplicate accepted"
-  with Checker.Diagnostics.Check_failed (Checker.Diagnostics.Level0_duplicate_var 3) ->
+  with Proof.Diagnostics.Check_failed (Proof.Diagnostics.Level0_duplicate_var 3) ->
     ()
 
 let test_unrecorded () =
   let l0 = make [ (3, true, 10) ] in
   try
-    ignore (Checker.Level0.value l0 9);
+    ignore (Proof.Level0.value l0 9);
     Alcotest.fail "unrecorded accepted"
   with
-  | Checker.Diagnostics.Check_failed
-      (Checker.Diagnostics.Level0_var_unrecorded 9) -> ()
+  | Proof.Diagnostics.Check_failed
+      (Proof.Diagnostics.Level0_var_unrecorded 9) -> ()
 
 let test_lit_false () =
   let l0 = make [ (3, true, 10); (5, false, 11) ] in
   Alcotest.check Alcotest.bool "-3 false under x3=true" true
-    (Checker.Level0.lit_false l0 (Sat.Lit.neg 3));
+    (Proof.Level0.lit_false l0 (Sat.Lit.neg 3));
   Alcotest.check Alcotest.bool "3 not false" false
-    (Checker.Level0.lit_false l0 (Sat.Lit.pos 3));
+    (Proof.Level0.lit_false l0 (Sat.Lit.pos 3));
   Alcotest.check Alcotest.bool "5 false under x5=false" true
-    (Checker.Level0.lit_false l0 (Sat.Lit.pos 5));
+    (Proof.Level0.lit_false l0 (Sat.Lit.pos 5));
   Alcotest.check Alcotest.bool "unrecorded not false" false
-    (Checker.Level0.lit_false l0 (Sat.Lit.pos 8))
+    (Proof.Level0.lit_false l0 (Sat.Lit.pos 8))
 
-let check_ante l0 v c = Checker.Level0.check_antecedent l0 ~var:v c
+let check_ante l0 v c = Proof.Level0.check_antecedent l0 ~var:v c
 
 let test_antecedent_ok () =
   (* x3 := true implied by (x3 + ¬x2) after x2 := true *)

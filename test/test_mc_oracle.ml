@@ -144,7 +144,7 @@ let test_random_systems () =
        Alcotest.failf "seed %d: bmc missed a violation at depth %d" seed d
      | B.Check_failed x, _ ->
        Alcotest.failf "seed %d: proof rejected: %s" seed
-         (Checker.Diagnostics.to_string x));
+         (Proof.Diagnostics.to_string x));
     (* the unbounded checker must never contradict the oracle *)
     match B.interpolation_mc ~max_iterations:40 ts, oracle with
     | B.Proved_safe _, Some d ->
@@ -159,7 +159,7 @@ let test_random_systems () =
     | B.Inconclusive _, _ -> () (* allowed: iteration budget, not wrongness *)
     | B.Mc_check_failed x, _ ->
       Alcotest.failf "seed %d: proof rejected: %s" seed
-        (Checker.Diagnostics.to_string x)
+        (Proof.Diagnostics.to_string x)
   done;
   Alcotest.check Alcotest.int "all seeds exercised" 30 !n_checked
 

@@ -39,7 +39,7 @@ let get_ok name = function
   | Ok r -> r
   | Error d ->
     Alcotest.failf "%s: valid trace rejected: %s" name
-      (Checker.Diagnostics.to_string d)
+      (Proof.Diagnostics.to_string d)
 
 let test_diamond_schedule () =
   let f = diamond_formula () in
@@ -123,10 +123,10 @@ let test_min_stream_failure_matches_bf () =
     | Error d -> d
   in
   (match bf_err with
-   | Checker.Diagnostics.No_clash { c1_id = 5; c2_id = 2; _ } -> ()
+   | Proof.Diagnostics.No_clash { c1_id = 5; c2_id = 2; _ } -> ()
    | d ->
      Alcotest.failf "bf failed on the wrong record: %s"
-       (Checker.Diagnostics.to_string d));
+       (Proof.Diagnostics.to_string d));
   List.iter
     (fun jobs ->
       match
@@ -136,8 +136,8 @@ let test_min_stream_failure_matches_bf () =
       | Error d ->
         if d <> bf_err then
           Alcotest.failf "par j%d diagnostic differs from bf: %s vs %s" jobs
-            (Checker.Diagnostics.to_string d)
-            (Checker.Diagnostics.to_string bf_err))
+            (Proof.Diagnostics.to_string d)
+            (Proof.Diagnostics.to_string bf_err))
     [ 1; 2; 4 ]
 
 (* A solver-produced trace, both encodings, several job counts: the full

@@ -112,7 +112,7 @@ let test_pin_probe () =
   | Ok _ -> ()
   | Error d ->
     Alcotest.failf "probe-only proof rejected: %s"
-      (Checker.Diagnostics.to_string d)
+      (Proof.Diagnostics.to_string d)
 
 (* --- fuzzed equisatisfiability and model reconstruction ------------------ *)
 
@@ -146,7 +146,7 @@ let test_fuzz_pre_roundtrip () =
        | Ok _ -> ()
        | Error d ->
          Alcotest.failf "round %d: pre trace rejected: %s" round
-           (Checker.Diagnostics.to_string d))
+           (Proof.Diagnostics.to_string d))
   done;
   if !unsat_seen < 10 then
     Alcotest.failf "only %d unsat instances fuzzed" !unsat_seen
@@ -219,7 +219,7 @@ let test_pre_strategy_matrix () =
                 Alcotest.fail (label "expected UNSAT")
               | Pipeline.Validate.Unsat_check_failed d ->
                 Alcotest.failf "%s: %s" (label "check failed")
-                  (Checker.Diagnostics.to_string d))
+                  (Proof.Diagnostics.to_string d))
             (strategies ~window:16))
         [ Trace.Writer.Ascii; Trace.Writer.Binary ])
     (families ())
@@ -321,7 +321,7 @@ let test_inprocess_traces_check () =
    | Ok _ -> ()
    | Error d ->
      Alcotest.failf "inprocessed trace rejected by DF: %s"
-       (Checker.Diagnostics.to_string d));
+       (Proof.Diagnostics.to_string d));
   (* hinted variant: inprocess deletions become v2 hints *)
   let config = { config with emit_deletes = true } in
   let result, _stats, trace =
@@ -334,7 +334,7 @@ let test_inprocess_traces_check () =
    | Ok _ -> ()
    | Error d ->
      Alcotest.failf "hinted inprocessed trace rejected: %s"
-       (Checker.Diagnostics.to_string d));
+       (Proof.Diagnostics.to_string d));
   (* fuzzed instances derive level-0 units mid-search, so the pass
      actually shortens clauses rather than running as a no-op *)
   let rng = Sat.Rng.create 7331 in
@@ -361,7 +361,7 @@ let test_inprocess_traces_check () =
       | Ok _ -> ()
       | Error d ->
         Alcotest.failf "inprocess round %d: trace rejected: %s" !round
-          (Checker.Diagnostics.to_string d))
+          (Proof.Diagnostics.to_string d))
   done;
   if !unsat_seen < 15 then Alcotest.fail "too few unsat instances"
 
@@ -381,7 +381,7 @@ let test_pre_and_inprocess () =
   | Ok _ -> ()
   | Error d ->
     Alcotest.failf "pre+inprocess trace rejected: %s"
-      (Checker.Diagnostics.to_string d)
+      (Proof.Diagnostics.to_string d)
 
 let suite =
   [

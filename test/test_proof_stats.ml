@@ -7,7 +7,7 @@ let stats_of f =
    | Solver.Cdcl.Sat _ -> Alcotest.fail "unsat expected");
   match Checker.Proof_stats.analyze f (Trace.Reader.From_string trace) with
   | Ok s -> s
-  | Error d -> Alcotest.failf "analyze: %s" (Checker.Diagnostics.to_string d)
+  | Error d -> Alcotest.failf "analyze: %s" (Proof.Diagnostics.to_string d)
 
 let test_php_shape () =
   let s = stats_of (Gen.Php.unsat ~holes:5) in

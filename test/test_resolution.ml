@@ -34,16 +34,16 @@ let expect_failure f pred name =
   try
     ignore (f ());
     Alcotest.failf "%s: no failure raised" name
-  with Checker.Diagnostics.Check_failed d ->
+  with Proof.Diagnostics.Check_failed d ->
     if not (pred d) then
       Alcotest.failf "%s: wrong diagnostic %s" name
-        (Checker.Diagnostics.to_string d)
+        (Proof.Diagnostics.to_string d)
 
 let test_no_clash () =
   let k = kernel () in
   expect_failure
     (fun () -> resolve k (Sat.Clause.of_ints [ 1; 2 ]) (Sat.Clause.of_ints [ 2; 3 ]))
-    (function Checker.Diagnostics.No_clash _ -> true | _ -> false)
+    (function Proof.Diagnostics.No_clash _ -> true | _ -> false)
     "no clash"
 
 let test_multiple_clash () =
@@ -52,7 +52,7 @@ let test_multiple_clash () =
     (fun () ->
       resolve k (Sat.Clause.of_ints [ 1; 2; 5 ]) (Sat.Clause.of_ints [ -1; -2 ]))
     (function
-      | Checker.Diagnostics.Multiple_clash m -> m.vars = [ 1; 2 ]
+      | Proof.Diagnostics.Multiple_clash m -> m.vars = [ 1; 2 ]
       | _ -> false)
     "multiple clash"
 
@@ -108,7 +108,7 @@ let test_chain_empty_sources () =
       Proof.Kernel.chain_ids k ~context:"test"
         ~fetch:(fun _ -> Alcotest.fail "unexpected fetch")
         ~learned_id:7 [||])
-    (function Checker.Diagnostics.Empty_source_list 7 -> true | _ -> false)
+    (function Proof.Diagnostics.Empty_source_list 7 -> true | _ -> false)
     "empty sources"
 
 (* --- the clause store ---------------------------------------------------- *)

@@ -64,7 +64,7 @@ let drup_of fam_f =
    | Solver.Cdcl.Sat _ -> Alcotest.fail "unsat expected");
   match Pipeline.Drup.of_trace fam_f (Trace.Reader.From_string trace) with
   | Ok d -> d
-  | Error d -> Alcotest.failf "conversion failed: %s" (Checker.Diagnostics.to_string d)
+  | Error d -> Alcotest.failf "conversion failed: %s" (Proof.Diagnostics.to_string d)
 
 let test_exported_derivations_check () =
   List.iter
@@ -105,7 +105,7 @@ let test_minimized_trace_converts () =
    | Solver.Cdcl.Unsat -> ()
    | Solver.Cdcl.Sat _ -> Alcotest.fail "php unsat");
   match Pipeline.Drup.of_trace f (Trace.Reader.From_string trace) with
-  | Error d -> Alcotest.failf "conversion: %s" (Checker.Diagnostics.to_string d)
+  | Error d -> Alcotest.failf "conversion: %s" (Proof.Diagnostics.to_string d)
   | Ok derivation -> (
     match Checker.Rup.check f derivation with
     | Ok _ -> ()

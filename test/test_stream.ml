@@ -343,8 +343,8 @@ let test_ingest_failure_matches_file () =
         | Error d -> d
       in
       Alcotest.(check string) (name ^ ": identical diagnostic")
-        (Checker.Diagnostics.to_string file_diag)
-        (Checker.Diagnostics.to_string live_diag))
+        (Proof.Diagnostics.to_string file_diag)
+        (Proof.Diagnostics.to_string live_diag))
     corruptions
 
 let suite =

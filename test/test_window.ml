@@ -18,7 +18,7 @@ let report_exn name = function
   | Ok r -> r
   | Error d ->
     Alcotest.failf "%s rejected a valid trace: %s" name
-      (Checker.Diagnostics.to_string d)
+      (Proof.Diagnostics.to_string d)
 
 let profile_exn trace =
   match G.run (Trace.Reader.From_string trace) with
@@ -150,7 +150,7 @@ let test_window_failure_identity () =
   let bf_diag =
     match Checker.Bf.check f (Trace.Reader.From_string trace) with
     | Ok _ -> Alcotest.fail "BF accepted the broken trace"
-    | Error d -> Checker.Diagnostics.to_string d
+    | Error d -> Proof.Diagnostics.to_string d
   in
   List.iter
     (fun window ->
@@ -160,7 +160,7 @@ let test_window_failure_identity () =
         Alcotest.check Alcotest.string
           (Printf.sprintf "window %d diagnostic" window)
           bf_diag
-          (Checker.Diagnostics.to_string d))
+          (Proof.Diagnostics.to_string d))
     window_sizes
 
 (* window mode refuses hinted traces like every non-hinted strategy *)
@@ -180,11 +180,11 @@ let test_window_refuses_hints () =
     Checker.Window.check ~window:16 f
       (Trace.Reader.From_string (Trace.Writer.contents hinted_w))
   with
-  | Error Checker.Diagnostics.Hints_unsupported -> ()
+  | Error Proof.Diagnostics.Hints_unsupported -> ()
   | Ok _ -> Alcotest.fail "window accepted a hinted trace"
   | Error d ->
     Alcotest.failf "expected Hints_unsupported, got %s"
-      (Checker.Diagnostics.to_string d)
+      (Proof.Diagnostics.to_string d)
 
 (* the bound is also visible through the telemetry surface: with
    recording on, the [window.resident_clauses] gauge carries the same
@@ -211,7 +211,7 @@ let test_window_gauge_bound () =
       | Ok _ -> ()
       | Error d ->
         Alcotest.failf "window %d rejected: %s" window
-          (Checker.Diagnostics.to_string d));
+          (Proof.Diagnostics.to_string d));
       let resident = int_of_float (Obs.Metrics.Gauge.get g) in
       (match !stats with
        | Some s ->
@@ -231,10 +231,50 @@ let test_window_validates_size () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "window 0 was not rejected"
 
+(* A memory-out escaping mid-check must not strand the window spill file
+   or breadth-first's count file in the temp directory, and must still
+   reach the caller (rescheck maps it to exit 3). *)
+let test_temp_files_removed_on_memory_out () =
+  let f = Gen.Php.unsat ~holes:4 in
+  let trace =
+    match Pipeline.Validate.solve_with_trace f with
+    | Solver.Cdcl.Unsat, _, trace -> trace
+    | Solver.Cdcl.Sat _, _, _ -> Alcotest.fail "php must be unsat"
+  in
+  let dir = Filename.temp_file "rescheck_leak" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o700;
+  let saved = Filename.get_temp_dir_name () in
+  Filename.set_temp_dir_name dir;
+  let leftovers () = List.sort compare (Array.to_list (Sys.readdir dir)) in
+  Fun.protect
+    ~finally:(fun () ->
+      Filename.set_temp_dir_name saved;
+      List.iter (fun n -> Sys.remove (Filename.concat dir n)) (leftovers ());
+      Sys.rmdir dir)
+  @@ fun () ->
+  List.iter
+    (fun (name, check) ->
+      let meter = Harness.Meter.create ~limit_words:50 () in
+      (match check meter (Trace.Reader.From_string trace) with
+       | exception Harness.Meter.Out_of_memory_simulated _ -> ()
+       | Ok _ | Error _ ->
+         Alcotest.failf "%s: the memory limit never tripped" name);
+      Alcotest.check (Alcotest.list Alcotest.string)
+        (name ^ ": temp dir empty") [] (leftovers ()))
+    [
+      ( "bf temp-file",
+        fun meter src ->
+          Checker.Bf.check ~meter ~counting:(`Temp_file 64) f src );
+      ("window", fun meter src -> Checker.Window.check ~meter ~window:4 f src);
+    ]
+
 let suite =
   [
     ( module_name,
       [
+        Alcotest.test_case "temp files removed on memory-out" `Quick
+          test_temp_files_removed_on_memory_out;
         Alcotest.test_case "window sweep 3x2x4" `Quick test_window_sweep;
         Alcotest.test_case "failure identity" `Quick
           test_window_failure_identity;
