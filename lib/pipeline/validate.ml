@@ -217,7 +217,7 @@ let run_online ?config ~format ?meter ~analyze ~pre f =
               | Ok report -> Unsat_verified report
               | Error failure -> Unsat_check_failed failure))
       in
-          (* a SAT answer's partial trace has no conflict, so the analyzer
+      (* a SAT answer's partial trace has no conflict, so the analyzer
          legitimately refuses it — the profile is simply absent *)
       let dag =
         match dag_stream with
