@@ -82,9 +82,6 @@ type uses
 
 val uses : unit -> uses
 
-(** [add_use u id] records one more use of [id]. *)
-val add_use : uses -> int -> unit
-
 (** [count_uses u e] records one use of every clause [e] references:
     resolve sources, level-0 antecedents and the final conflict. *)
 val count_uses : uses -> Trace.Event.t -> unit
