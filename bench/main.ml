@@ -3,11 +3,9 @@
    checker themselves), plus Bechamel micro-benchmarks for the hot paths
    and the design-choice ablations called out in DESIGN.md.
 
-   Usage:  dune exec bench/main.exe
-             [table1|table2|table3|proofshape|scaling|ablation|baseline|
-              par|par_quick|stream|stream_quick|trim|trim_quick|
-              hint|hint_quick|simplify|simplify_quick|parse|overhead|micro|
-              all]
+   Usage:  dune exec bench/main.exe [MODE]
+   where MODE is one of the modes tabled at the end of this file, or
+   [all] (the default).
 
    Absolute numbers are machine-specific; EXPERIMENTS.md records how the
    *shapes* compare with the paper (who wins, by what factor, where the
@@ -71,23 +69,25 @@ type prepared = {
   time_on : float;
 }
 
-(* median of three runs for instances fast enough that scheduler noise
-   would otherwise dominate the overhead column *)
-let timed_median f =
-  let x, t1 = Harness.Timer.time f in
+(* Every bench time is wall-clock seconds on the Obs span clock (only
+   the wall clock shows domain-level parallelism).  [median f] is
+   [f ()]'s result with the median of three to five runs for instances
+   fast enough that scheduler noise would otherwise dominate. *)
+let median f =
+  let x, t1 = Obs.Ctl.time f in
   let reps = if t1 > 5.0 then 0 else if t1 > 1.0 then 2 else 4 in
   if reps = 0 then (x, t1)
   else begin
-    let ts = t1 :: List.init reps (fun _ -> Harness.Timer.time_only f) in
+    let ts = t1 :: List.init reps (fun _ -> snd (Obs.Ctl.time f)) in
     let ts = List.sort Float.compare ts in
     (x, List.nth ts (List.length ts / 2))
   end
 
 let prepare (fam : Gen.Families.family) =
   let f = fam.generate () in
-  let _, time_off = timed_median (fun () -> Solver.Cdcl.solve f) in
+  let _, time_off = median (fun () -> Solver.Cdcl.solve f) in
   let (result, stats, trace), time_on =
-    timed_median (fun () -> Pipeline.Validate.solve_with_trace f)
+    median (fun () -> Pipeline.Validate.solve_with_trace f)
   in
   (match result with
    | Solver.Cdcl.Unsat -> ()
@@ -134,17 +134,19 @@ let table1 () =
 
 (* --- Table 2: the two checking strategies ------------------------------ *)
 
-let run_checker check p =
-  let meter = Harness.Meter.create ~limit_words:simulated_budget_words () in
-  try
-    let checked, seconds =
-      Harness.Timer.time (fun () ->
-          check ~meter p.f (Trace.Reader.From_string p.trace))
-    in
-    match checked with
-    | Ok r -> `Ok (r, seconds, Harness.Meter.peak_words meter)
-    | Error d -> `Failed d
-  with Harness.Meter.Out_of_memory_simulated _ -> `Memory_out
+(* One checker's Table 2 cells under the simulated budget: [cells r
+   seconds] when it verifies, [width] stars when it runs out. *)
+let run_checker name p ~width check cells =
+  match
+    Obs.Ctl.time (fun () ->
+        check ~mem_limit:simulated_budget_words p.f
+          (Trace.Reader.From_string p.trace))
+  with
+  | Ok r, seconds -> cells r seconds
+  | Error d, _ ->
+    failwith (name ^ " check failed: " ^ Proof.Diagnostics.to_string d)
+  | exception Proof.Clause_db.Out_of_memory_simulated _ ->
+    List.init width (fun _ -> "*")
 
 let table2 () =
   Printf.printf
@@ -153,42 +155,25 @@ let table2 () =
      memory out, as in the paper's 6pipe/7pipe rows; the hybrid columns \
      are the paper's §5 future work)\n\n"
     simulated_budget_words (simulated_budget_words * 8 / 1024);
-  let kb words = string_of_int (words * 8 / 1024) in
+  let time_peak (r : Checker.Report.t) seconds =
+    [ fmt_f ~decimals:3 seconds; string_of_int (r.peak_mem_words * 8 / 1024) ]
+  in
   let rows =
     List.map
       (fun p ->
-        let base =
-          [ p.fam.name; string_of_int (String.length p.trace / 1024) ]
-        in
-        let df_cells =
-          match run_checker (fun ~meter f src -> Checker.Df.check ~meter f src) p with
-          | `Ok (r, seconds, peak) ->
-            [
-              string_of_int r.Checker.Report.clauses_built;
-              fmt_pct (Checker.Report.built_ratio r);
-              fmt_f ~decimals:3 seconds;
-              kb peak;
-            ]
-          | `Memory_out -> [ "*"; "*"; "*"; "*" ]
-          | `Failed d ->
-            failwith ("DF check failed: " ^ Proof.Diagnostics.to_string d)
-        in
-        let bf_cells =
-          match run_checker (fun ~meter f src -> Checker.Bf.check ~meter f src) p with
-          | `Ok (_, seconds, peak) -> [ fmt_f ~decimals:3 seconds; kb peak ]
-          | `Memory_out -> [ "*"; "*" ]
-          | `Failed d ->
-            failwith ("BF check failed: " ^ Proof.Diagnostics.to_string d)
-        in
-        let hybrid_cells =
-          match run_checker (fun ~meter f src -> Checker.Hybrid.check ~meter f src) p with
-          | `Ok (_, seconds, peak) -> [ fmt_f ~decimals:3 seconds; kb peak ]
-          | `Memory_out -> [ "*"; "*" ]
-          | `Failed d ->
-            failwith
-              ("Hybrid check failed: " ^ Proof.Diagnostics.to_string d)
-        in
-        base @ df_cells @ bf_cells @ hybrid_cells)
+        [ p.fam.name; string_of_int (String.length p.trace / 1024) ]
+        @ run_checker "DF" ~width:4 p
+            (fun ~mem_limit f src -> Checker.Df.check ~mem_limit f src)
+            (fun r seconds ->
+              string_of_int r.clauses_built
+              :: fmt_pct (Checker.Report.built_ratio r)
+              :: time_peak r seconds)
+        @ run_checker "BF" ~width:2 p
+            (fun ~mem_limit f src -> Checker.Bf.check ~mem_limit f src)
+            time_peak
+        @ run_checker "Hybrid" ~width:2 p
+            (fun ~mem_limit f src -> Checker.Hybrid.check ~mem_limit f src)
+            time_peak)
       (Lazy.force prepared_suite)
   in
   print_table "table2"
@@ -294,7 +279,7 @@ let ablation () =
         :: List.concat_map
              (fun (_, f) ->
                let (_, stats), seconds =
-                 Harness.Timer.time (fun () -> Solver.Cdcl.solve ~config f)
+                 Obs.Ctl.time (fun () -> Solver.Cdcl.solve ~config f)
                in
                [ fmt_f ~decimals:2 seconds; string_of_int stats.conflicts ])
              instances)
@@ -321,24 +306,19 @@ let scaling () =
       (fun holes ->
         let f = Gen.Php.unsat ~holes in
         let (result, stats, trace), solve_s =
-          Harness.Timer.time (fun () -> Pipeline.Validate.solve_with_trace f)
+          Obs.Ctl.time (fun () -> Pipeline.Validate.solve_with_trace f)
         in
         (match result with
          | Solver.Cdcl.Unsat -> ()
          | Solver.Cdcl.Sat _ -> failwith "php sat?");
-        let src () = Trace.Reader.From_string trace in
-        let df_s =
-          Harness.Timer.time_only (fun () ->
-              ignore (Checker.Df.check f (src ())))
+        let check_s check =
+          snd
+            (Obs.Ctl.time (fun () ->
+                 ignore (check f (Trace.Reader.From_string trace))))
         in
-        let bf_s =
-          Harness.Timer.time_only (fun () ->
-              ignore (Checker.Bf.check f (src ())))
-        in
-        let hy_s =
-          Harness.Timer.time_only (fun () ->
-              ignore (Checker.Hybrid.check f (src ())))
-        in
+        let df_s = check_s Checker.Df.check in
+        let bf_s = check_s Checker.Bf.check in
+        let hy_s = check_s Checker.Hybrid.check in
         [
           string_of_int holes;
           string_of_int stats.conflicts;
@@ -415,7 +395,7 @@ let baseline () =
     let c = Circuit.Netlist.create () in
     let o1, o2 = build c in
     let bdd_cell, bdd_time =
-      Harness.Timer.time (fun () ->
+      Obs.Ctl.time (fun () ->
           match Bdd.Cec.check ~node_limit:300_000 c o1 o2 with
           | Bdd.Cec.Equivalent -> "equivalent"
           | Bdd.Cec.Counterexample _ -> "DIFFERENT?!"
@@ -423,7 +403,7 @@ let baseline () =
     in
     let miter = Circuit.Miter.equivalence_cnf c o1 o2 in
     let sat_cell, sat_time =
-      Harness.Timer.time (fun () ->
+      Obs.Ctl.time (fun () ->
           let o = Pipeline.Validate.run miter in
           match o.Pipeline.Validate.verdict with
           | Pipeline.Validate.Unsat_verified _ -> "equivalent+proof"
@@ -474,21 +454,6 @@ let baseline () =
 
 (* --- Parallel checker: jobs sweep --------------------------------------- *)
 
-(* Wall-clock median of three-to-five runs.  The sweep measures elapsed
-   time (not CPU seconds) because domain-level parallelism only shows up
-   on the wall clock. *)
-let wall_median f =
-  let x, t1 = Harness.Timer.wall_time f in
-  let reps = if t1 > 5.0 then 0 else if t1 > 1.0 then 2 else 4 in
-  if reps = 0 then (x, t1)
-  else begin
-    let ts =
-      t1 :: List.init reps (fun _ -> snd (Harness.Timer.wall_time f))
-    in
-    let ts = List.sort Float.compare ts in
-    (x, List.nth ts (List.length ts / 2))
-  end
-
 (* Sequential BF against the wavefront-parallel checker at 1, 2 and 4
    worker domains.  Every parallel run is cross-checked against the BF
    report (built clauses, steps, built ids) before its time is trusted;
@@ -511,14 +476,14 @@ let par_sweep instances =
            failwith (name ^ ": benchmark instance unexpectedly satisfiable"));
         let src = Trace.Reader.From_string trace in
         let bf, bf_s =
-          wall_median (fun () ->
+          median (fun () ->
               match Checker.Bf.check f src with
               | Ok r -> r
               | Error d ->
                 failwith (name ^ ": bf: " ^ Proof.Diagnostics.to_string d))
         in
         let par jobs =
-          wall_median (fun () ->
+          median (fun () ->
               match Checker.Par.check ~jobs f src with
               | Ok r -> r
               | Error d ->
@@ -571,18 +536,6 @@ let par_sweep instances =
     ~align:[ Harness.Table.Left ]
     rows
 
-(* php_8 is the ≥100k-resolution family the acceptance sweep targets
-   (~169k resolutions); php_7 gives a second, lighter point. *)
-let par_full () =
-  par_sweep
-    [
-      ("php_7", fun () -> Gen.Php.unsat ~holes:7);
-      ("php_8", fun () -> Gen.Php.unsat ~holes:8);
-    ]
-
-(* CI-sized sweep: one small family, same columns and JSON artifact. *)
-let par_quick () = par_sweep [ ("php_5", fun () -> Gen.Php.unsat ~holes:5) ]
-
 (* --- stream: materialized vs online validation -------------------------- *)
 
 (* Contrast the buffered pipeline (solve into an in-memory trace, then
@@ -607,13 +560,13 @@ let stream_bench instances =
           (fun (fmt_name, format) ->
             Gc.compact ();
             let online, online_s =
-              Harness.Timer.time (fun () ->
+              Obs.Ctl.time (fun () ->
                   Pipeline.Validate.run ~format
                     ~strategy:Pipeline.Validate.Online f)
             in
             let heap_after_online = (Gc.quick_stat ()).Gc.top_heap_words in
             let buffered, buffered_s =
-              Harness.Timer.time (fun () ->
+              Obs.Ctl.time (fun () ->
                   Pipeline.Validate.run ~format
                     ~strategy:Pipeline.Validate.Breadth_first f)
             in
@@ -645,17 +598,6 @@ let stream_bench instances =
       ]
     ~align:[ Harness.Table.Left; Harness.Table.Left ]
     rows
-
-let stream_full () =
-  stream_bench
-    [
-      ("php_7", fun () -> Gen.Php.unsat ~holes:7);
-      ("php_8", fun () -> Gen.Php.unsat ~holes:8);
-    ]
-
-(* CI-sized run: one small family, same columns and JSON artifact. *)
-let stream_quick () =
-  stream_bench [ ("php_5", fun () -> Gen.Php.unsat ~holes:5) ]
 
 (* --- trim: static core-reachable trimming -------------------------------- *)
 
@@ -693,7 +635,7 @@ let trim_bench instances =
                   (Printf.sprintf "%s/%s: trim: %s" name fmt_name
                      e.Analysis.Dag.message)
             in
-            let (stats, trimmed), trim_s = timed_median do_trim in
+            let (stats, trimmed), trim_s = median do_trim in
             let recheck label t =
               match Checker.Bf.check f (Trace.Reader.From_string t) with
               | Ok r -> r
@@ -704,10 +646,10 @@ let trim_bench instances =
                      (Proof.Diagnostics.to_string d))
             in
             let _, orig_s =
-              timed_median (fun () -> recheck "original" trace)
+              median (fun () -> recheck "original" trace)
             in
             let r_trim, trimmed_s =
-              timed_median (fun () -> recheck "trimmed" trimmed)
+              median (fun () -> recheck "trimmed" trimmed)
             in
             if r_trim.Checker.Report.clauses_built <> stats.Analysis.Dag.kept_learned
             then
@@ -752,16 +694,6 @@ let trim_bench instances =
     ~align:[ Harness.Table.Left; Harness.Table.Left ]
     rows
 
-let trim_full () =
-  trim_bench
-    [
-      ("php_7", fun () -> Gen.Php.unsat ~holes:7);
-      ("php_8", fun () -> Gen.Php.unsat ~holes:8);
-    ]
-
-(* CI-sized run: one small family, same columns and JSON artifact. *)
-let trim_quick () = trim_bench [ ("php_5", fun () -> Gen.Php.unsat ~holes:5) ]
-
 (* --- hinted one-pass vs breadth-first ----------------------------------- *)
 
 (* The hinted trade: `rescheck hint` pays one static conversion pass so
@@ -803,7 +735,7 @@ let hint_bench instances =
                   (Printf.sprintf "%s/%s: hint: %s" name fmt_name
                      e.Analysis.Dag.message)
             in
-            let (hstats, dag, hinted), hint_conv_s = timed_median do_hint in
+            let (hstats, dag, hinted), hint_conv_s = median do_hint in
             let check label checker t =
               match checker f (Trace.Reader.From_string t) with
               | Ok r -> r
@@ -813,13 +745,13 @@ let hint_bench instances =
                      (Proof.Diagnostics.to_string d))
             in
             let bf, bf_s =
-              timed_median (fun () -> check "bf" Checker.Bf.check trace)
+              median (fun () -> check "bf" Checker.Bf.check trace)
             in
             let df, _ =
-              timed_median (fun () -> check "df" Checker.Df.check trace)
+              median (fun () -> check "df" Checker.Df.check trace)
             in
             let hint, hint_s =
-              timed_median (fun () ->
+              median (fun () ->
                   check "hint" Checker.Hint.check hinted)
             in
             (* identity gate: the one-pass report matches bf bit for bit *)
@@ -903,16 +835,6 @@ let hint_bench instances =
     exit 1
   end
 
-let hint_full () =
-  hint_bench
-    [
-      ("php_7", fun () -> Gen.Php.unsat ~holes:7);
-      ("php_8", fun () -> Gen.Php.unsat ~holes:8);
-    ]
-
-(* CI-sized run: one small family, same columns, JSON artifact and gate. *)
-let hint_quick () = hint_bench [ ("php_5", fun () -> Gen.Php.unsat ~holes:5) ]
-
 (* --- simplify: proof-emitting preprocessing ------------------------------ *)
 
 (* The cost/benefit of running the proof-emitting simplifier in front of
@@ -934,8 +856,8 @@ let simplify_bench instances =
   let wins = ref false in
   let rows =
     List.concat_map
-      (fun (fam : Gen.Families.family) ->
-        let f = fam.generate () in
+      (fun (name, generate) ->
+        let f : Sat.Cnf.t = generate () in
         List.map
           (fun (fmt_name, format) ->
             let run ~pre () =
@@ -946,8 +868,7 @@ let simplify_bench instances =
                | Solver.Cdcl.Unsat -> ()
                | Solver.Cdcl.Sat _ ->
                  failwith
-                   (fam.name ^ ": benchmark instance unexpectedly \
-                    satisfiable"));
+                   (name ^ ": benchmark instance unexpectedly satisfiable"));
               trace
             in
             let check label trace =
@@ -955,16 +876,16 @@ let simplify_bench instances =
               | Ok r -> r
               | Error d ->
                 failwith
-                  (Printf.sprintf "%s/%s: bf on %s trace: %s" fam.name
+                  (Printf.sprintf "%s/%s: bf on %s trace: %s" name
                      fmt_name label
                      (Proof.Diagnostics.to_string d))
             in
-            let trace_off, solve_off = timed_median (run ~pre:false) in
+            let trace_off, solve_off = median (run ~pre:false) in
             let _, check_off =
-              timed_median (fun () -> check "plain" trace_off)
+              median (fun () -> check "plain" trace_off)
             in
-            let trace_on, solve_on = timed_median (run ~pre:true) in
-            let _, check_on = timed_median (fun () -> check "pre" trace_on) in
+            let trace_on, solve_on = median (run ~pre:true) in
+            let _, check_on = median (fun () -> check "pre" trace_on) in
             (* core gate: the pre proof's core still indexes the original
                DIMACS (df tracks the core; bf does not) *)
             (match
@@ -972,7 +893,7 @@ let simplify_bench instances =
              with
              | Error d ->
                failwith
-                 (Printf.sprintf "%s/%s: df on pre trace: %s" fam.name
+                 (Printf.sprintf "%s/%s: df on pre trace: %s" name
                     fmt_name
                     (Proof.Diagnostics.to_string d))
              | Ok r ->
@@ -983,7 +904,7 @@ let simplify_bench instances =
                      failwith
                        (Printf.sprintf
                           "%s/%s: pre core id %d outside original 1..%d"
-                          fam.name fmt_name id n))
+                          name fmt_name id n))
                  r.Checker.Report.core_original_ids);
             let b_off = String.length trace_off
             and b_on = String.length trace_on in
@@ -991,7 +912,7 @@ let simplify_bench instances =
             and e2e_on = solve_on +. check_on in
             if b_on < b_off && e2e_on <= e2e_off *. 1.1 then wins := true;
             [
-              fam.name;
+              name;
               fmt_name;
               string_of_int b_off;
               string_of_int b_on;
@@ -1023,23 +944,6 @@ let simplify_bench instances =
        budget";
     exit 1
   end
-
-let simplify_families names =
-  List.map
-    (fun n ->
-      match Gen.Families.find n with
-      | Some fam -> fam
-      | None -> failwith ("unknown family " ^ n))
-    names
-
-let simplify_full () =
-  simplify_bench
-    (simplify_families
-       [ "php_8"; "rand_unsat"; "bw_grid"; "fpga_route"; "counter_bmc" ])
-
-(* CI-sized run: two small families, same columns and JSON artifact. *)
-let simplify_quick () =
-  simplify_bench (simplify_families [ "php_8"; "counter_bmc" ])
 
 (* --- parse-path micro-bench: ascii/binary x mmap/channel ---------------- *)
 
@@ -1088,7 +992,7 @@ let parse_bench () =
             (fun (io_name, io) ->
               let run = drain path io in
               let records, minor, major = gc_delta run in
-              let _, seconds = timed_median (fun () -> ignore (run ())) in
+              let _, seconds = median (fun () -> ignore (run ())) in
               [
                 fmt_name;
                 io_name;
@@ -1275,7 +1179,7 @@ let overhead () =
   let best f =
     let t = ref infinity in
     for _ = 1 to reps do
-      let x = Harness.Timer.time_only f in
+      let x = snd (Obs.Ctl.time f) in
       if x < !t then t := x
     done;
     !t
@@ -1300,7 +1204,7 @@ let overhead () =
   let t_off = best run in
   Obs.Ctl.enable ();
   Obs.Metrics.reset Obs.Metrics.global;
-  let t_on = Harness.Timer.time_only run in
+  let t_on = snd (Obs.Ctl.time run) in
   let snapshot = Obs.Metrics.snapshot Obs.Metrics.global in
   Obs.Ctl.disable ();
   Obs.Metrics.reset Obs.Metrics.global;
@@ -1516,61 +1420,65 @@ let regress () =
     report_rows;
   if !any_fail then exit 1
 
+(* --- modes ------------------------------------------------------------- *)
+
+let php holes = (Printf.sprintf "php_%d" holes, fun () -> Gen.Php.unsat ~holes)
+
+let families names =
+  List.map
+    (fun n ->
+      match Gen.Families.find n with
+      | Some fam -> (fam.name, fam.generate)
+      | None -> failwith ("unknown family " ^ n))
+    names
+
+(* The sized sweeps: [all] runs each on its full instances, and
+   <name>_quick runs the CI-sized ones with the same columns, JSON
+   artifact and gates.  php_8 is the >=100k-resolution family the
+   parallel sweep targets (~169k resolutions); php_7 gives a second,
+   lighter point. *)
+let sweeps =
+  let full = [ php 7; php 8 ] and quick = [ php 5 ] in
+  [
+    ("par", par_sweep, full, quick);
+    ("stream", stream_bench, full, quick);
+    ("trim", trim_bench, full, quick);
+    ("hint", hint_bench, full, quick);
+    ( "simplify",
+      simplify_bench,
+      families
+        [ "php_8"; "rand_unsat"; "bw_grid"; "fpga_route"; "counter_bmc" ],
+      families [ "php_8"; "counter_bmc" ] );
+  ]
+
+(* [all] runs these, in order *)
+let all_modes =
+  [
+    ("table1", table1); ("table2", table2); ("table3", table3);
+    ("proofshape", proofshape); ("scaling", scaling); ("ablation", ablation);
+    ("baseline", baseline);
+  ]
+  @ List.map (fun (name, bench, full, _) -> (name, fun () -> bench full)) sweeps
+  @ [ ("micro", micro) ]
+
+let modes =
+  all_modes
+  @ List.map
+      (fun (name, bench, _, quick) -> (name ^ "_quick", fun () -> bench quick))
+      sweeps
+  @ [ ("parse", parse_bench); ("overhead", overhead); ("regress", regress) ]
+
 let () =
   let mode = if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" in
-  match mode with
-  | "table1" -> table1 ()
-  | "table2" -> table2 ()
-  | "table3" -> table3 ()
-  | "micro" -> micro ()
-  | "ablation" -> ablation ()
-  | "scaling" -> scaling ()
-  | "baseline" -> baseline ()
-  | "proofshape" -> proofshape ()
-  | "par" -> par_full ()
-  | "par_quick" -> par_quick ()
-  | "stream" -> stream_full ()
-  | "stream_quick" -> stream_quick ()
-  | "trim" -> trim_full ()
-  | "trim_quick" -> trim_quick ()
-  | "hint" -> hint_full ()
-  | "hint_quick" -> hint_quick ()
-  | "simplify" -> simplify_full ()
-  | "simplify_quick" -> simplify_quick ()
-  | "parse" -> parse_bench ()
-  | "overhead" -> overhead ()
-  | "regress" -> regress ()
-  | "all" ->
-    table1 ();
-    print_newline ();
-    table2 ();
-    print_newline ();
-    table3 ();
-    print_newline ();
-    proofshape ();
-    print_newline ();
-    scaling ();
-    print_newline ();
-    ablation ();
-    print_newline ();
-    baseline ();
-    print_newline ();
-    par_full ();
-    print_newline ();
-    stream_full ();
-    print_newline ();
-    trim_full ();
-    print_newline ();
-    hint_full ();
-    print_newline ();
-    simplify_full ();
-    print_newline ();
-    micro ()
-  | other ->
-    Printf.eprintf
-      "unknown mode %S (expected \
-       table1|table2|table3|proofshape|scaling|ablation|baseline|par|\
-       par_quick|stream|stream_quick|trim|trim_quick|hint|hint_quick|\
-       simplify|simplify_quick|parse|overhead|regress|micro|all)\n"
-      other;
+  match List.assoc_opt mode modes with
+  | Some run -> run ()
+  | None when mode = "all" ->
+    List.iteri
+      (fun i (_, run) ->
+        if i > 0 then print_newline ();
+        run ())
+      all_modes
+  | None ->
+    Printf.eprintf "unknown mode %S (expected %s|all)\n" mode
+      (String.concat "|" (List.map fst modes));
     exit 2

@@ -16,8 +16,8 @@ type ingest = {
   mutable failed : Proof.Diagnostics.failure option;
 }
 
-let make_ingest ?meter ~count_in_memory formula =
-  let kernel = Proof.Kernel.create ?meter formula in
+let make_ingest ?mem_limit ~count_in_memory formula =
+  let kernel = Proof.Kernel.create ?mem_limit formula in
   let l0 = Proof.Level0.create () in
   {
     kernel;
@@ -28,7 +28,7 @@ let make_ingest ?meter ~count_in_memory formula =
     failed = None;
   }
 
-let ingest ?meter formula = make_ingest ?meter ~count_in_memory:true formula
+let ingest formula = make_ingest ~count_in_memory:true formula
 
 let ingest_failed g = g.failed
 
@@ -57,10 +57,10 @@ let pass_two ?format ?io g source =
 let finish ?format ?io g source =
   Driver.run (fun () -> pass_two ?format ?io g source)
 
-let check ?meter ?format ?io ?(counting = `In_memory) ?first_pass formula
-    source =
+let check ?mem_limit ?format ?io ?(counting = `In_memory) ?first_pass
+    formula source =
   let g =
-    make_ingest ?meter ~count_in_memory:(counting = `In_memory) formula
+    make_ingest ?mem_limit ~count_in_memory:(counting = `In_memory) formula
   in
   Driver.run ~cleanup:(fun () -> Driver.remove_file g.uses) @@ fun () ->
   (* pass one: validate record shape / stream order and count uses;

@@ -14,14 +14,14 @@
     where depth-first dies).
 
     The use counts are the paper's temporary file.  [`In_memory] (the
-    default) keeps them in a hash table, uncharged to the meter;
-    [`Temp_file chunk] reproduces the paper's implementation literally — the
-    counting pass is broken into chunks of [chunk] clause IDs, each
-    chunk's counts are written to a real temporary file on disk, and
-    during the resolution pass a clause's total count is read back from
-    the file when the clause is constructed, so main memory holds
-    counters only for clauses that are currently alive ("we may also
-    need to break the first pass into several passes so that we can
+    default) keeps them in a hash table, uncharged to the simulated
+    account; [`Temp_file chunk] reproduces the paper's implementation
+    literally — the counting pass is broken into chunks of [chunk] clause
+    IDs, each chunk's counts are written to a real temporary file on
+    disk, and during the resolution pass a clause's total count is read
+    back from the file when the clause is constructed, so main memory
+    holds counters only for clauses that are currently alive ("we may
+    also need to break the first pass into several passes so that we can
     count the number of usages of the clauses in one range at a time"). *)
 
 type counting = [ `In_memory | `Temp_file of int (* chunk size *) ]
@@ -37,7 +37,7 @@ type counting = [ `In_memory | `Temp_file of int (* chunk size *) ]
     file backing for every cursor the check opens (default [`Auto]:
     mmap regular files, falling back to the buffered channel). *)
 val check :
-  ?meter:Harness.Meter.t ->
+  ?mem_limit:int ->
   ?format:Trace.Writer.format ->
   ?io:Trace.Reader.io ->
   ?counting:counting ->
@@ -57,7 +57,7 @@ val check :
 
 type ingest
 
-val ingest : ?meter:Harness.Meter.t -> Sat.Cnf.t -> ingest
+val ingest : Sat.Cnf.t -> ingest
 val ingest_event : ingest -> Trace.Event.t -> unit
 val ingest_sink : ingest -> Trace.Sink.t
 

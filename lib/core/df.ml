@@ -1,11 +1,11 @@
 (* Depth-first checking (§3.2, Figure 3) on the shared kernel: load the
-   whole trace (charged to the meter — the paper's stated DF
-   disadvantage), then reconstruct on demand through the resolve-source
-   DAG from the final conflict, so only proof-relevant clauses are ever
-   built and the touched originals form an unsat core. *)
+   whole trace (charged to the store's simulated account — the paper's
+   stated DF disadvantage), then reconstruct on demand through the
+   resolve-source DAG from the final conflict, so only proof-relevant
+   clauses are ever built and the touched originals form an unsat core. *)
 
-let check ?meter ?format ?io ?first_pass formula source =
-  let k = Proof.Kernel.create ?meter formula in
+let check ?mem_limit ?format ?io ?first_pass formula source =
+  let k = Proof.Kernel.create ?mem_limit formula in
   Driver.run @@ fun () ->
   (* depth-first reads the trace exactly once, so the whole check can
      run off a single-shot stream (pipe/FIFO) with no re-read *)

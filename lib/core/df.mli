@@ -9,20 +9,20 @@
 
     Pros/cons exactly as the paper measures them: fastest, but peak memory
     is the full trace plus every built clause, so huge proofs exhaust
-    memory (simulate with {!Harness.Meter}'s limit to reproduce the
-    paper's starred rows). *)
+    memory (simulate with a [mem_limit] to reproduce the paper's starred
+    rows). *)
 
-(** [check ?meter f trace] validates that [trace] is a resolution proof of
-    the unsatisfiability of [f].  [meter] accounts simulated memory (trace
-    residency + built clauses); allocation beyond its limit raises
-    {!Harness.Meter.Out_of_memory_simulated}, mirroring the paper's
-    memory-out entries.  Depth-first reads the trace once: with
-    [first_pass] (a single-shot stream, closed when drained) the
-    re-readable source is never touched.  [io] selects the
+(** [check ?mem_limit f trace] validates that [trace] is a resolution
+    proof of the unsatisfiability of [f].  The kernel's store accounts
+    simulated memory (trace residency + built clauses); a charge beyond
+    [mem_limit] words raises {!Proof.Clause_db.Out_of_memory_simulated},
+    mirroring the paper's memory-out entries.  Depth-first reads the
+    trace once: with [first_pass] (a single-shot stream, closed when
+    drained) the re-readable source is never touched.  [io] selects the
     file backing for every cursor the check opens (default [`Auto]:
     mmap regular files, falling back to the buffered channel). *)
 val check :
-  ?meter:Harness.Meter.t ->
+  ?mem_limit:int ->
   ?format:Trace.Writer.format ->
   ?io:Trace.Reader.io ->
   ?first_pass:Trace.Source.t ->

@@ -72,7 +72,7 @@ let report ?(core = false) ?(jobs = 1) ?(wavefronts = 0)
       core_original_ids = (if core then Proof.Kernel.core_ids k else []);
       learned_built_ids = Proof.Kernel.built_ids k;
       core_vars = (if core then Proof.Kernel.core_var_count k else 0);
-      peak_mem_words = Harness.Meter.peak_words (Proof.Kernel.meter k);
+      peak_mem_words = Proof.Clause_db.peak_mem_words (Proof.Kernel.db k);
       peak_live_clauses = c.peak_live_clauses;
       arena_bytes_resident = c.arena_peak_bytes;
       jobs;

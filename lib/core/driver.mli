@@ -3,14 +3,14 @@
     {!Proof_stats} each keep only their schedule — what to build, when
     to release it, and whether to count uses first.
 
-    A strategy creates its kernel ([Proof.Kernel.create ?meter], whose
-    default meter is unlimited), then runs its schedule inside {!run}:
+    A strategy creates its kernel ([Proof.Kernel.create ?mem_limit],
+    unlimited by default), then runs its schedule inside {!run}:
     pass one over {!source} inside {!pass_one}, the final-conflict
     lookup with {!conflict}, pass two inside {!pass_two} ending in
     {!final_chain}, and the verdict from {!report}.  {!run} is the one
     epilogue: it maps a refuted proof or an unparsable trace to
     [Error], and runs the strategy's cleanup on {e every} exit — an
-    escaping exception such as {!Harness.Meter.Out_of_memory_simulated}
+    escaping exception such as {!Proof.Clause_db.Out_of_memory_simulated}
     included, which then still propagates. *)
 
 (** [run ?cleanup body] is [Ok (body ())], or [Error] when [body] raises
@@ -57,11 +57,11 @@ val final_chain :
   int
 
 (** [report k ~total_learned] is the verdict of a completed check, from
-    the kernel's counters and meter, published as the [checker.*] (and,
-    for a parallel schedule, [par.*]) telemetry gauges.  With [core]
-    the report carries the unsat core (depth-first and hybrid);
-    [jobs]/[wavefronts]/[max_wavefront_width] describe a parallel
-    schedule (default: one job, no wavefronts). *)
+    the kernel's counters and its store's simulated peak, published as
+    the [checker.*] (and, for a parallel schedule, [par.*]) telemetry
+    gauges.  With [core] the report carries the unsat core (depth-first
+    and hybrid); [jobs]/[wavefronts]/[max_wavefront_width] describe a
+    parallel schedule (default: one job, no wavefronts). *)
 val report :
   ?core:bool ->
   ?jobs:int ->

@@ -16,8 +16,8 @@
    simply never frees, so verdicts, cores and diagnostics match
    breadth-first on every trace both can read. *)
 
-let check ?meter ?format ?io ?first_pass formula source =
-  let kernel = Proof.Kernel.create ?meter formula in
+let check ?mem_limit ?format ?io ?first_pass formula source =
+  let kernel = Proof.Kernel.create ?mem_limit formula in
   Driver.run @@ fun () ->
   let l0 = Proof.Level0.create () in
   let stream =

@@ -22,7 +22,7 @@
     field for field (every learned clause built, empty core).
     @raise nothing — failures are returned, parse errors included. *)
 val check :
-  ?meter:Harness.Meter.t ->
+  ?mem_limit:int ->
   ?format:Trace.Writer.format ->
   ?io:Trace.Reader.io ->
   ?first_pass:Trace.Source.t ->

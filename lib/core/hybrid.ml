@@ -1,11 +1,12 @@
 (* The paper's §5 future-work checker on the shared kernel: pass one keeps
-   only the resolve-source ID lists (charged to the meter, like DF's trace
-   residency but literal-free), a reverse sweep computes the exact needed
-   set and per-clause use counts, the lists are released, and pass two
-   rebuilds only the needed clauses BF-style with use-count freeing. *)
+   only the resolve-source ID lists (charged to the store's simulated
+   account, like DF's trace residency but literal-free), a reverse sweep
+   computes the exact needed set and per-clause use counts, the lists are
+   released (and credited back), and pass two rebuilds only the needed
+   clauses BF-style with use-count freeing. *)
 
-let check ?meter ?format ?io ?first_pass formula source =
-  let kernel = Proof.Kernel.create ?meter formula in
+let check ?mem_limit ?format ?io ?first_pass formula source =
+  let kernel = Proof.Kernel.create ?mem_limit formula in
   Driver.run @@ fun () ->
   (* pass one: collect source lists (charged: this is the part of the
      trace the hybrid must hold, like DF) and validate record shape and
@@ -28,11 +29,9 @@ let check ?meter ?format ?io ?first_pass formula source =
   let uses = Driver.uses () in
   ignore (Driver.mark_needed uses ~defs ~antes conf_id);
   (* release the source lists: pass two re-reads them from the stream *)
-  let defs_words =
-    Sat.Vec.fold (fun acc (_, s) -> acc + 2 + Array.length s) 0 defs
-  in
+  Proof.Clause_db.credit (Proof.Kernel.db kernel)
+    (Sat.Vec.fold (fun acc (_, s) -> acc + 2 + Array.length s) 0 defs);
   Sat.Vec.clear defs;
-  Harness.Meter.free (Proof.Kernel.meter kernel) defs_words;
   Driver.pass_two ~cat:"hybrid" (fun () ->
       Driver.rebuild kernel uses ~context:"hybrid reconstruction"
         ~needed_only:true ?format ?io source;

@@ -22,7 +22,7 @@
     stand-in for the external-memory graph traversal the paper cites
     ([18]); like the breadth-first checker's use counts, the
     needed/use-count tables are conceptually on disk and are not charged
-    to the meter. *)
+    to the simulated account. *)
 
 (** [check ?first_pass f source] — pass one pulls from [first_pass] when
     given (closed once drained), pass two always re-reads [source]; a
@@ -31,7 +31,7 @@
     file backing for every cursor the check opens (default [`Auto]:
     mmap regular files, falling back to the buffered channel). *)
 val check :
-  ?meter:Harness.Meter.t ->
+  ?mem_limit:int ->
   ?format:Trace.Writer.format ->
   ?io:Trace.Reader.io ->
   ?first_pass:Trace.Source.t ->

@@ -38,8 +38,7 @@
 type task = {
   id : int;
   sources : int array;
-  seq : int;    (* index among learned records, stream order *)
-  words : int;  (* meter words this source list holds until its barrier *)
+  seq : int;  (* index among learned records, stream order *)
 }
 
 type outcome =
@@ -236,15 +235,14 @@ let shutdown pool domains =
 
 let default_window = 128
 
-let check ?meter ?format ?io ?(jobs = 1) ?(window = default_window)
+let check ?mem_limit ?format ?io ?(jobs = 1) ?(window = default_window)
     ?first_pass formula source =
   if jobs < 1 then invalid_arg "Par.check: jobs must be >= 1";
   let window = max 1 window in
-  let kernel = Proof.Kernel.create ?meter formula in
-  let meter = Proof.Kernel.meter kernel in
+  let kernel = Proof.Kernel.create ?mem_limit formula in
   Driver.run @@ fun () ->
   (* pass one: BF's counting/validation pass, also collecting the
-     resolve-source lists as tasks.  The lists are charged to the meter
+     resolve-source lists as tasks.  The lists are charged to the store
      (the parallel checker, unlike BF, must hold them until their
      wavefront commits), and pass one is the only trace read, so the
      whole check can run off a single-shot stream. *)
@@ -260,13 +258,7 @@ let check ?meter ?format ?io ?(jobs = 1) ?(window = default_window)
            match e with
            | Trace.Event.Learned l ->
              tasks_rev :=
-               {
-                 id = l.id;
-                 sources = l.sources;
-                 seq = !seq;
-                 words = 2 + Array.length l.sources;
-               }
-               :: !tasks_rev;
+               { id = l.id; sources = l.sources; seq = !seq } :: !tasks_rev;
              incr seq
            | Trace.Event.Header _ | Trace.Event.Level0 _
            | Trace.Event.Final_conflict _ | Trace.Event.Delete _ -> ()))
@@ -349,8 +341,10 @@ let check ?meter ?format ?io ?(jobs = 1) ?(window = default_window)
             Array.iter (Driver.release uses kernel) t.sources
           end)
       tasks;
-    Harness.Meter.free meter
-      (Array.fold_left (fun acc t -> acc + t.words) 0 tasks)
+    (* the source lists pass one charged (2 + length words each) are
+       released at their barrier *)
+    Proof.Clause_db.credit db
+      (Array.fold_left (fun acc t -> acc + 2 + Array.length t.sources) 0 tasks)
   in
   (* materialise the originals a wavefront resolves against before its
      workers start, so the store is strictly read-only while they run *)

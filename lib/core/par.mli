@@ -27,9 +27,10 @@
 
     Memory is that BF-like live window plus the resolve-source lists,
     which — unlike BF, which re-reads them from the trace — must be held
-    (and are charged to the meter) until their wavefront commits. *)
+    (and are charged to the store's simulated account) until their
+    wavefront commits. *)
 
-(** [check ?meter ?jobs ?window formula source] checks the trace with
+(** [check ?mem_limit ?jobs ?window formula source] checks the trace with
     [jobs] worker domains ([jobs = 1], the default, replays inline on the
     calling domain — same code path, no domains spawned).  [window]
     (default 128, clamped to at least 1) trades live-window size for
@@ -41,7 +42,7 @@
     mmap regular files, falling back to the buffered channel).
     @raise Invalid_argument when [jobs < 1]. *)
 val check :
-  ?meter:Harness.Meter.t ->
+  ?mem_limit:int ->
   ?format:Trace.Writer.format ->
   ?io:Trace.Reader.io ->
   ?jobs:int ->

@@ -22,7 +22,8 @@ type t = {
   core_vars : int;
       (** distinct variables among the core clauses *)
   peak_mem_words : int;
-      (** simulated peak memory, from {!Harness.Meter} *)
+      (** simulated peak memory in words — the clause store's account
+          ({!Proof.Clause_db.peak_mem_words}) *)
   peak_live_clauses : int;
       (** most clauses simultaneously live in the shared clause store *)
   arena_bytes_resident : int;

@@ -159,10 +159,11 @@ let after_record st ~window id =
   st.fill <- st.fill + 1;
   if st.fill >= window then boundary st
 
-let check ?meter ?format ?io ?first_pass ?on_stats ~window formula source =
+let check ?mem_limit ?format ?io ?first_pass ?on_stats ~window formula
+    source =
   if window < 1 then
     invalid_arg "Window.check: window size must be at least 1";
-  let kernel = Proof.Kernel.create ?meter formula in
+  let kernel = Proof.Kernel.create ?mem_limit formula in
   let st =
     {
       kernel;

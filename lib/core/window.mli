@@ -33,7 +33,7 @@ type stats = {
     @raise Invalid_argument when [window < 1]; pass [max_int] for an
     unbounded window (plain breadth-first scheduling). *)
 val check :
-  ?meter:Harness.Meter.t ->
+  ?mem_limit:int ->
   ?format:Trace.Writer.format ->
   ?io:Trace.Reader.io ->
   ?first_pass:Trace.Source.t ->

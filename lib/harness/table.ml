@@ -46,13 +46,9 @@ let render ~headers ?align rows =
   List.iter emit_row rows;
   Buffer.contents buf
 
-let fmt_int = string_of_int
-
 let fmt_float ?(decimals = 2) x = Printf.sprintf "%.*f" decimals x
 
 let fmt_pct x = Printf.sprintf "%.1f%%" (100.0 *. x)
-
-let fmt_kb bytes = Printf.sprintf "%d" ((bytes + 1023) / 1024)
 
 let print t =
   print_string t;

@@ -9,10 +9,8 @@ type align = Left | Right
 val render : headers:string list -> ?align:align list -> string list list -> string
 
 (** Number formatting helpers used across the tables. *)
-val fmt_int : int -> string
 val fmt_float : ?decimals:int -> float -> string
 val fmt_pct : float -> string
-val fmt_kb : int -> string
 
 (** [print t] writes a rendered table to stdout followed by a newline. *)
 val print : string -> unit

@@ -19,6 +19,11 @@ let now_s () =
 
 let now_us () = now_s () *. 1e6
 
+let time f =
+  let t0 = now_s () in
+  let x = f () in
+  (x, now_s () -. t0)
+
 let enable () =
   base := Unix.gettimeofday ();
   last := 0.0;

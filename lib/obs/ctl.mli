@@ -27,3 +27,8 @@ val now_s : unit -> float
 (** [now_us ()] is microseconds since the clock base, non-decreasing —
     the unit Chrome trace events use. *)
 val now_us : unit -> float
+
+(** [time f] runs [f ()] and returns its result with the elapsed seconds
+    on this clock — the one clock for phase and bench timings.  The
+    interval must not straddle {!enable}, which re-bases the clock. *)
+val time : (unit -> 'a) -> 'a * float

@@ -86,7 +86,7 @@ let solve_with_trace ?config ?(version = 1) ?(format = Trace.Writer.Ascii)
   in
   (result, stats, trace)
 
-let run_buffered ?config ?format ~strategy ?meter ~analyze ~pre f =
+let run_buffered ?config ?format ~strategy ~analyze ~pre f =
   (* the hinted strategy asks the solver for native deletion hints,
      which need a version-2 trace *)
   let config, version =
@@ -98,12 +98,12 @@ let run_buffered ?config ?format ~strategy ?meter ~analyze ~pre f =
   in
   let format = Option.value ~default:Trace.Writer.Ascii format in
   let (result, stats, pre_stats, trace), solve_seconds =
-    Harness.Timer.time (fun () -> solve_encode ?config ~version ~format ~pre f)
+    Obs.Ctl.time (fun () -> solve_encode ?config ~version ~format ~pre f)
   in
   if Obs.Ctl.on () then
     Obs.Metrics.Gauge.set m_trace_bytes (float_of_int (String.length trace));
   let verdict, check_seconds =
-    Harness.Timer.time (fun () ->
+    Obs.Ctl.time (fun () ->
         Obs.Span.scope ~cat:"pipeline" "pipeline.check" @@ fun () ->
         match result with
         | Solver.Cdcl.Sat a -> (
@@ -114,12 +114,12 @@ let run_buffered ?config ?format ~strategy ?meter ~analyze ~pre f =
           let source = Trace.Reader.From_string trace in
           let checked =
             match strategy with
-            | Depth_first -> Checker.Df.check ?meter f source
-            | Breadth_first -> Checker.Bf.check ?meter f source
-            | Hybrid -> Checker.Hybrid.check ?meter f source
-            | Parallel jobs -> Checker.Par.check ?meter ~jobs f source
-            | Hinted -> Checker.Hint.check ?meter f source
-            | Window window -> Checker.Window.check ?meter ~window f source
+            | Depth_first -> Checker.Df.check f source
+            | Breadth_first -> Checker.Bf.check f source
+            | Hybrid -> Checker.Hybrid.check f source
+            | Parallel jobs -> Checker.Par.check ~jobs f source
+            | Hinted -> Checker.Hint.check f source
+            | Window window -> Checker.Window.check ~window f source
             | Online -> assert false
           in
           match checked with
@@ -147,7 +147,7 @@ let run_buffered ?config ?format ~strategy ?meter ~analyze ~pre f =
    kernel validation and the reconstruction pass re-reads the identical
    bytes, so verdicts, reports, cores and failure diagnostics match the
    file-based breadth-first path bit for bit (timings aside). *)
-let run_online ?config ~format ?meter ~analyze ~pre f =
+let run_online ?config ~format ~analyze ~pre f =
   let spool = Filename.temp_file "rescheck_online" ".trc" in
   let oc = open_out_bin spool in
   let cleanup () =
@@ -156,7 +156,7 @@ let run_online ?config ~format ?meter ~analyze ~pre f =
   in
   Fun.protect ~finally:cleanup (fun () ->
       let wstats, encoder = Trace.Writer.to_channel format oc in
-      let ingest = Checker.Bf.ingest ?meter f in
+      let ingest = Checker.Bf.ingest f in
       let binary = format = Trace.Writer.Binary in
       let lint_stream = Analysis.Lint.stream_start ~formula:f ~binary () in
       let counter, tail =
@@ -184,7 +184,7 @@ let run_online ?config ~format ?meter ~analyze ~pre f =
             | None -> [ tail ]))
       in
       let (result, stats, pre_stats), solve_seconds =
-        Harness.Timer.time (fun () ->
+        Obs.Ctl.time (fun () ->
             (* on the online timeline this span brackets solving plus the
                teed lint/encode/ingest work interleaved with it *)
             Obs.Span.scope ~cat:"pipeline" "pipeline.online_stream"
@@ -203,7 +203,7 @@ let run_online ?config ~format ?meter ~analyze ~pre f =
           (float_of_int wstats.Trace.Writer.peak_buffered)
       end;
       let verdict, check_seconds =
-        Harness.Timer.time (fun () ->
+        Obs.Ctl.time (fun () ->
             Obs.Span.scope ~cat:"pipeline" "pipeline.check" @@ fun () ->
             match result with
             | Solver.Cdcl.Sat a -> (
@@ -230,10 +230,10 @@ let run_online ?config ~format ?meter ~analyze ~pre f =
       { verdict; stats; trace_bytes = wstats.Trace.Writer.bytes;
         solve_seconds; check_seconds; online; dag; pre = pre_stats })
 
-let run ?config ?format ?(strategy = Depth_first) ?meter ?(analyze = false)
+let run ?config ?format ?(strategy = Depth_first) ?(analyze = false)
     ?(pre = false) f =
   match strategy with
   | Online ->
     let format = Option.value ~default:Trace.Writer.Ascii format in
-    run_online ?config ~format ?meter ~analyze ~pre f
-  | _ -> run_buffered ?config ?format ~strategy ?meter ~analyze ~pre f
+    run_online ?config ~format ~analyze ~pre f
+  | _ -> run_buffered ?config ?format ~strategy ~analyze ~pre f

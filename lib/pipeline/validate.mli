@@ -55,8 +55,8 @@ type outcome = {
   verdict : verdict;
   stats : Solver.Cdcl.stats;
   trace_bytes : int;
-  solve_seconds : float;
-  check_seconds : float;
+  solve_seconds : float;  (** wall seconds, on the {!Obs.Ctl} clock *)
+  check_seconds : float;  (** wall seconds, on the {!Obs.Ctl} clock *)
   online : online_info option;  (** present iff the strategy was {!Online} *)
   dag : Analysis.Dag.profile option;
       (** present when [analyze] was requested and the solver produced a
@@ -68,7 +68,7 @@ type outcome = {
           simplifier's per-pass statistics *)
 }
 
-(** [run ?config ?format ?strategy ?meter ?analyze ?pre f] solves and
+(** [run ?config ?format ?strategy ?analyze ?pre f] solves and
     validates [f].  [analyze] (default false) additionally runs the
     {!Analysis.Dag} static analysis over the proof trace, surfacing its
     profile in [dag].  [pre] (default false) runs the proof-emitting
@@ -82,7 +82,6 @@ val run :
   ?config:Solver.Cdcl.config ->
   ?format:Trace.Writer.format ->
   ?strategy:strategy ->
-  ?meter:Harness.Meter.t ->
   ?analyze:bool ->
   ?pre:bool ->
   Sat.Cnf.t ->

@@ -2,6 +2,7 @@ type handle = int
 
 exception Use_after_free of handle
 exception Refcount_underflow of handle
+exception Out_of_memory_simulated of { limit_words : int; wanted : int }
 
 (* Debug guards: when enabled, API entry points verify the handle still
    holds a reference, and releasing past zero raises instead of silently
@@ -19,9 +20,10 @@ type arena =
      arena.{h}     length (also the slot's capacity)
      arena.{h+1}   reference count
      arena.{h+2..} sorted duplicate-free packed literals
-   The meter is charged [len + clause_overhead] words per clause — the
-   accounting the individual checkers used before the shared store, kept
-   so the simulated-memory experiments stay comparable. *)
+   The simulated account is charged [len + clause_overhead] words per
+   clause — the accounting the individual checkers used before the
+   shared store, kept so the simulated-memory experiments stay
+   comparable. *)
 let header_words = 2
 let clause_overhead = 3
 
@@ -29,7 +31,9 @@ type t = {
   mutable arena : arena;
   mutable top : int;                    (* bump pointer *)
   freelist : (int, int list) Hashtbl.t; (* capacity -> free offsets *)
-  meter : Harness.Meter.t;
+  limit : int;                          (* simulated budget; max_int: none *)
+  mutable mem : int;                    (* simulated words charged *)
+  mutable peak_mem : int;
   mutable live : int;
   mutable peak_live : int;
   mutable allocated : int;
@@ -69,17 +73,18 @@ let rec reserve_arena words =
           [ ("wanted_words", words); ("retry_words", words / 2) ];
       reserve_arena (words / 2)
 
-let create ?meter ?(reserve = default_reserve_words) () =
-  let meter =
-    match meter with Some m -> m | None -> Harness.Meter.create ()
-  in
+let create ?mem_limit ?(reserve = default_reserve_words) () =
+  let limit = Option.value mem_limit ~default:max_int in
+  if limit < 1 then invalid_arg "Clause_db.create: mem_limit must be >= 1";
   let arena = reserve_arena (max min_reserve_words reserve) in
   note_reserved (Bigarray.Array1.dim arena);
   {
     arena;
     top = 0;
     freelist = Hashtbl.create 64;
-    meter;
+    limit;
+    mem = 0;
+    peak_mem = 0;
     live = 0;
     peak_live = 0;
     allocated = 0;
@@ -87,7 +92,17 @@ let create ?meter ?(reserve = default_reserve_words) () =
     peak_resident = 0;
   }
 
-let meter db = db.meter
+let charge db words =
+  let next = db.mem + words in
+  if next > db.limit then
+    raise (Out_of_memory_simulated { limit_words = db.limit; wanted = next });
+  db.mem <- next;
+  if next > db.peak_mem then db.peak_mem <- next
+
+let credit db words = db.mem <- max 0 (db.mem - words)
+
+let mem_words db = db.mem
+let peak_mem_words db = db.peak_mem
 
 let reserved_words db = Bigarray.Array1.dim db.arena
 
@@ -122,9 +137,9 @@ let slot db n =
     h
 
 let account_alloc db n =
-  (* the meter may refuse (simulated memory-out) — charge it first so a
-     refused clause leaves the store untouched *)
-  Harness.Meter.alloc db.meter (n + clause_overhead);
+  (* the account may refuse (simulated memory-out) — charge it first so
+     a refused clause leaves the store untouched *)
+  charge db (n + clause_overhead);
   db.live <- db.live + 1;
   if db.live > db.peak_live then db.peak_live <- db.live;
   db.allocated <- db.allocated + 1;
@@ -197,7 +212,7 @@ let release db h =
   db.arena.{h + 1} <- rc;
   if rc <= 0 then begin
     let n = db.arena.{h} in
-    Harness.Meter.free db.meter (n + clause_overhead);
+    credit db (n + clause_overhead);
     db.live <- db.live - 1;
     db.resident <- db.resident - (header_words + n);
     let free = Option.value ~default:[] (Hashtbl.find_opt db.freelist n) in

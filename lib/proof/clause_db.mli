@@ -7,11 +7,14 @@
     count; releasing the last reference returns its slot to a size-binned
     freelist for reuse.
 
-    Every allocation is charged to the store's {!Harness.Meter} at the
-    historical checker rate of [literals + 3] words per clause, so the
-    simulated-memory experiments (Table 2's starred rows) keep their
-    meaning, and the store additionally tracks live/peak clause counts and
-    arena-resident words for {!Report}. *)
+    The store is also the checkers' one simulated-memory account, the
+    paper's Table 2 memory measure: every allocation is charged at the
+    historical checker rate of [literals + 3] words per clause, and a
+    checker charges what else it holds (trace residency, resolve-source
+    lists) with {!charge}/{!credit}.  The account keeps the peak and,
+    under a limit, raises {!Out_of_memory_simulated} — the paper's
+    starred memory-out rows.  Separately, the store tracks live/peak
+    clause counts and arena-resident words for the report. *)
 
 type t
 
@@ -27,6 +30,10 @@ exception Use_after_free of handle
     the slot may already belong to the freelist or to a new clause. *)
 exception Refcount_underflow of handle
 
+(** Raised when a charge would push the simulated account past its
+    limit: [wanted] is the total the charge asked for. *)
+exception Out_of_memory_simulated of { limit_words : int; wanted : int }
+
 (** [set_debug true] arms the lifetime guards above on every store.  Off
     by default: the checks cost one flag read per clause operation on the
     resolution hot path.  The test suite runs with them armed. *)
@@ -34,17 +41,32 @@ val set_debug : bool -> unit
 
 val debug_enabled : unit -> bool
 
-(** [create ?meter ?reserve ()] is an empty store.  Without [meter] a
-    fresh unlimited meter is used.  [reserve] (words, default 8 Mi) sizes
-    the arena's up-front virtual reservation: pages are only committed as
-    the bump pointer reaches them, and if the reservation itself does not
-    fit (tight [ulimit -v]) it halves until it does, after which the old
-    doubling grower covers any overflow.  A store that stays within its
-    reservation never relocates, which is what keeps {!freeze}d views
-    stable between barriers. *)
-val create : ?meter:Harness.Meter.t -> ?reserve:int -> unit -> t
+(** [create ?mem_limit ?reserve ()] is an empty store whose simulated
+    account holds at most [mem_limit] words (default: unlimited).
+    [reserve] (words, default 8 Mi) sizes the arena's up-front virtual
+    reservation: pages are only committed as the bump pointer reaches
+    them, and if the reservation itself does not fit (tight [ulimit -v])
+    it halves until it does, after which the old doubling grower covers
+    any overflow.  A store that stays within its reservation never
+    relocates, which is what keeps {!freeze}d views stable between
+    barriers.
+    @raise Invalid_argument when [mem_limit < 1]. *)
+val create : ?mem_limit:int -> ?reserve:int -> unit -> t
 
-val meter : t -> Harness.Meter.t
+(** {2 The simulated account} *)
+
+(** [charge db words] adds [words] to the account.
+    @raise Out_of_memory_simulated past the limit, leaving the account
+    unchanged. *)
+val charge : t -> int -> unit
+
+(** [credit db words] takes [words] off the account, never below zero. *)
+val credit : t -> int -> unit
+
+(** [mem_words db] / [peak_mem_words db]: words currently / maximally
+    charged — the report's [peak_mem_words]. *)
+val mem_words : t -> int
+val peak_mem_words : t -> int
 
 (** [reserved_words db] is the arena's current capacity in words (also
     exported as the [arena.reserved_bytes] gauge, at 8 bytes per word).
@@ -54,8 +76,9 @@ val meter : t -> Harness.Meter.t
 val reserved_words : t -> int
 
 (** [alloc db lits] stores [lits] sorted and duplicate-free, with an
-    initial reference count of 1, and charges the meter.
-    @raise Harness.Meter.Out_of_memory_simulated past the meter's limit. *)
+    initial reference count of 1, and charges the account.
+    @raise Out_of_memory_simulated past the limit, leaving the store
+    unchanged. *)
 val alloc : t -> Sat.Lit.t array -> handle
 
 (** [alloc_sorted db buf n] stores the first [n] ints of [buf], which must
@@ -87,7 +110,7 @@ val copy_lits : t -> handle -> int array -> int
 val retain : t -> handle -> unit
 
 (** [release db h] drops a reference; at zero the clause's words are
-    credited back to the meter and the slot is recycled. *)
+    credited back to the account and the slot is recycled. *)
 val release : t -> handle -> unit
 
 val refcount : t -> handle -> int

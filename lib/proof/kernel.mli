@@ -23,10 +23,11 @@
 
 type t
 
-val create : ?meter:Harness.Meter.t -> Sat.Cnf.t -> t
+(** [create ?mem_limit formula] is a kernel over a fresh store, with
+    [mem_limit] as in {!Clause_db.create}. *)
+val create : ?mem_limit:int -> Sat.Cnf.t -> t
 
 val db : t -> Clause_db.t
-val meter : t -> Harness.Meter.t
 val num_original : t -> int
 val is_original : t -> int -> bool
 
@@ -163,15 +164,16 @@ type pass = {
   final_conflict : int option;
 }
 
-(** What a streaming pass charges to the meter as it goes: the full
-    parsed-trace residency (§3.2 depth-first holds the whole trace), just
-    the resolve-source lists (the hybrid's pass one), or nothing. *)
+(** What a streaming pass charges to the store's simulated account as
+    it goes: the full parsed-trace residency (§3.2 depth-first holds the
+    whole trace), just the resolve-source lists (the hybrid's pass one),
+    or nothing. *)
 type residency = [ `Full | `Defs | `None ]
 
 (** The validating pass as an incremental state machine, so it can be
     driven by pulling from a source ({!stream_pass}) or by pushing events
     into it live from the solver (the online validator).  Both drivers
-    run the identical per-event validation and meter charges. *)
+    run the identical per-event validation and memory charges. *)
 type stream
 
 val stream_start :
@@ -219,7 +221,6 @@ type proof = {
   l0 : Level0.t;
   final_conflict : int option;
   total_learned : int;
-  mutable defs_words : int;        (** meter words held by the defs *)
 }
 
 val load :
@@ -228,13 +229,6 @@ val load :
   ?charge:residency ->
   Trace.Source.t ->
   proof
-
-(** [free_defs t proof] credits the meter for the proof's source lists
-    (the hybrid releases them after its reverse marking sweep). *)
-val free_defs : t -> proof -> unit
-
-(** [residency_words e] is the trace-residency charge of one event. *)
-val residency_words : Trace.Event.t -> int
 
 (** {2 Recursive traversal (depth-first style)} *)
 

@@ -82,16 +82,16 @@ let test_memory_bounded () =
    | Solver.Cdcl.Unsat -> ()
    | Solver.Cdcl.Sat _ -> Alcotest.fail "php unsat");
   let src = Trace.Reader.From_string trace in
-  let m_df = Harness.Meter.create () in
-  let m_bf = Harness.Meter.create () in
-  (match Checker.Df.check ~meter:m_df f src with
-   | Ok _ -> ()
-   | Error d -> Alcotest.failf "df: %s" (D.to_string d));
-  (match Checker.Bf.check ~meter:m_bf f src with
-   | Ok _ -> ()
-   | Error d -> Alcotest.failf "bf: %s" (D.to_string d));
-  let df_peak = Harness.Meter.peak_words m_df in
-  let bf_peak = Harness.Meter.peak_words m_bf in
+  let df_peak =
+    match Checker.Df.check f src with
+    | Ok r -> r.peak_mem_words
+    | Error d -> Alcotest.failf "df: %s" (D.to_string d)
+  in
+  let bf_peak =
+    match Checker.Bf.check f src with
+    | Ok r -> r.peak_mem_words
+    | Error d -> Alcotest.failf "bf: %s" (D.to_string d)
+  in
   Alcotest.check Alcotest.bool
     (Printf.sprintf "bf peak (%d) well below df peak (%d)" bf_peak df_peak)
     true
@@ -102,19 +102,17 @@ let test_bf_survives_df_memory_limit () =
   let f = Gen.Php.unsat ~holes:6 in
   let _, _, trace = Pipeline.Validate.solve_with_trace f in
   let src = Trace.Reader.From_string trace in
-  let m_df = Harness.Meter.create () in
-  (match Checker.Df.check ~meter:m_df f src with
-   | Ok _ -> ()
-   | Error d -> Alcotest.failf "df: %s" (D.to_string d));
   (* a budget halfway between the two peaks *)
-  let budget = Harness.Meter.peak_words m_df / 2 in
+  let budget =
+    match Checker.Df.check f src with
+    | Ok r -> r.peak_mem_words / 2
+    | Error d -> Alcotest.failf "df: %s" (D.to_string d)
+  in
   (try
-     let m = Harness.Meter.create ~limit_words:budget () in
-     ignore (Checker.Df.check ~meter:m f src);
+     ignore (Checker.Df.check ~mem_limit:budget f src);
      Alcotest.fail "DF fit in half its own peak"
-   with Harness.Meter.Out_of_memory_simulated _ -> ());
-  let m = Harness.Meter.create ~limit_words:budget () in
-  match Checker.Bf.check ~meter:m f src with
+   with Proof.Clause_db.Out_of_memory_simulated _ -> ());
+  match Checker.Bf.check ~mem_limit:budget f src with
   | Ok _ -> ()
   | Error d -> Alcotest.failf "bf under budget: %s" (D.to_string d)
 
@@ -127,24 +125,20 @@ let test_temp_file_counting () =
    | Solver.Cdcl.Unsat -> ()
    | Solver.Cdcl.Sat _ -> Alcotest.fail "php unsat");
   let src = Trace.Reader.From_string trace in
-  let m_mem = Harness.Meter.create () in
-  let m_file = Harness.Meter.create () in
   match
-    ( Checker.Bf.check ~meter:m_mem f src,
-      Checker.Bf.check ~meter:m_file ~counting:(`Temp_file 64) f src )
+    ( Checker.Bf.check f src,
+      Checker.Bf.check ~counting:(`Temp_file 64) f src )
   with
   | Ok a, Ok b ->
     Alcotest.check Alcotest.int "same built" a.clauses_built b.clauses_built;
     Alcotest.check Alcotest.int "same steps" a.resolution_steps
       b.resolution_steps;
-    Alcotest.check Alcotest.int "same peak"
-      (Harness.Meter.peak_words m_mem)
-      (Harness.Meter.peak_words m_file)
+    Alcotest.check Alcotest.int "same peak" a.peak_mem_words b.peak_mem_words
   | Error d, _ | _, Error d ->
     Alcotest.failf "bf failed: %s" (D.to_string d)
 
 (* chunked counting must reproduce the in-memory report *exactly* —
-   every field, including the meter peak — for degenerate chunk sizes
+   every field, including the simulated peak — for degenerate chunk sizes
    (1 = one ID per pass, 2, and an odd 7), across two proof shapes *)
 let test_temp_file_chunk_sizes () =
   let instances =
@@ -160,18 +154,14 @@ let test_temp_file_chunk_sizes () =
        | Solver.Cdcl.Unsat -> ()
        | Solver.Cdcl.Sat _ -> Alcotest.failf "%s: instance must be unsat" name);
       let src = Trace.Reader.From_string trace in
-      let m_mem = Harness.Meter.create () in
       let reference =
-        match Checker.Bf.check ~meter:m_mem f src with
+        match Checker.Bf.check f src with
         | Ok r -> r
         | Error d -> Alcotest.failf "%s in-memory: %s" name (D.to_string d)
       in
       List.iter
         (fun chunk ->
-          let m_file = Harness.Meter.create () in
-          match
-            Checker.Bf.check ~meter:m_file ~counting:(`Temp_file chunk) f src
-          with
+          match Checker.Bf.check ~counting:(`Temp_file chunk) f src with
           | Error d ->
             Alcotest.failf "%s chunk %d: %s" name chunk (D.to_string d)
           | Ok r ->
@@ -189,10 +179,7 @@ let test_temp_file_chunk_sizes () =
             Alcotest.check Alcotest.int (ctx "peak live clauses")
               reference.peak_live_clauses r.peak_live_clauses;
             Alcotest.check Alcotest.int (ctx "arena bytes")
-              reference.arena_bytes_resident r.arena_bytes_resident;
-            Alcotest.check Alcotest.int (ctx "meter peak")
-              (Harness.Meter.peak_words m_mem)
-              (Harness.Meter.peak_words m_file))
+              reference.arena_bytes_resident r.arena_bytes_resident)
         [ 1; 2; 7 ])
     instances
 

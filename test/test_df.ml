@@ -272,11 +272,11 @@ let df_memory_limit () =
   (match result with
    | Solver.Cdcl.Unsat -> ()
    | Solver.Cdcl.Sat _ -> Alcotest.fail "php unsat");
-  let meter = Harness.Meter.create ~limit_words:100 () in
   try
-    ignore (Checker.Df.check ~meter f (Trace.Reader.From_string trace));
+    ignore
+      (Checker.Df.check ~mem_limit:100 f (Trace.Reader.From_string trace));
     Alcotest.fail "tiny budget not enforced"
-  with Harness.Meter.Out_of_memory_simulated _ -> ()
+  with Proof.Clause_db.Out_of_memory_simulated _ -> ()
 
 let core_is_unsat () =
   (* §4: the original clauses touched by the proof form an unsatisfiable

@@ -1,42 +1,4 @@
-(* Tests for the experiment harness: meter accounting and table
-   rendering. *)
-
-let test_meter_accounting () =
-  let m = Harness.Meter.create () in
-  Harness.Meter.alloc m 100;
-  Harness.Meter.alloc m 50;
-  Alcotest.check Alcotest.int "live" 150 (Harness.Meter.live_words m);
-  Alcotest.check Alcotest.int "peak" 150 (Harness.Meter.peak_words m);
-  Harness.Meter.free m 120;
-  Alcotest.check Alcotest.int "live after free" 30
-    (Harness.Meter.live_words m);
-  Alcotest.check Alcotest.int "peak sticky" 150 (Harness.Meter.peak_words m);
-  Harness.Meter.alloc m 10;
-  Alcotest.check Alcotest.int "peak unchanged below high-water" 150
-    (Harness.Meter.peak_words m);
-  Alcotest.check Alcotest.int "peak bytes" (150 * 8)
-    (Harness.Meter.peak_bytes m)
-
-let test_meter_limit () =
-  let m = Harness.Meter.create ~limit_words:100 () in
-  Harness.Meter.alloc m 90;
-  try
-    Harness.Meter.alloc m 20;
-    Alcotest.fail "limit not enforced"
-  with Harness.Meter.Out_of_memory_simulated e ->
-    Alcotest.check Alcotest.int "limit reported" 100 e.limit_words;
-    Alcotest.check Alcotest.int "wanted reported" 110 e.wanted
-
-let test_meter_free_floor () =
-  let m = Harness.Meter.create () in
-  Harness.Meter.alloc m 5;
-  Harness.Meter.free m 50;
-  Alcotest.check Alcotest.int "never negative" 0 (Harness.Meter.live_words m)
-
-let test_timer () =
-  let x, seconds = Harness.Timer.time (fun () -> 42) in
-  Alcotest.check Alcotest.int "result passed through" 42 x;
-  Alcotest.check Alcotest.bool "non-negative" true (seconds >= 0.0)
+(* Tests for the experiment harness's table rendering. *)
 
 let test_table_render () =
   let s =
@@ -64,10 +26,7 @@ let test_table_formats () =
   Alcotest.check Alcotest.string "float" "3.14"
     (Harness.Table.fmt_float 3.14159);
   Alcotest.check Alcotest.string "float decimals" "3.1416"
-    (Harness.Table.fmt_float ~decimals:4 3.14159);
-  Alcotest.check Alcotest.string "kb rounds up" "2"
-    (Harness.Table.fmt_kb 1025);
-  Alcotest.check Alcotest.string "int" "7" (Harness.Table.fmt_int 7)
+    (Harness.Table.fmt_float ~decimals:4 3.14159)
 
 let test_table_ragged_rows () =
   let s = Harness.Table.render ~headers:[ "a"; "b"; "c" ] [ [ "1" ] ] in
@@ -78,10 +37,6 @@ let suite =
   [
     ( "harness",
       [
-        Alcotest.test_case "meter accounting" `Quick test_meter_accounting;
-        Alcotest.test_case "meter limit" `Quick test_meter_limit;
-        Alcotest.test_case "meter free floor" `Quick test_meter_free_floor;
-        Alcotest.test_case "timer" `Quick test_timer;
         Alcotest.test_case "table render" `Quick test_table_render;
         Alcotest.test_case "table formats" `Quick test_table_formats;
         Alcotest.test_case "table ragged rows" `Quick test_table_ragged_rows;

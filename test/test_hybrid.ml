@@ -6,15 +6,12 @@ module D = Proof.Diagnostics
 
 let check_all f trace =
   let src = Trace.Reader.From_string trace in
-  let m_df = Harness.Meter.create () in
-  let m_bf = Harness.Meter.create () in
-  let m_hy = Harness.Meter.create () in
   match
-    ( Checker.Df.check ~meter:m_df f src,
-      Checker.Bf.check ~meter:m_bf f src,
-      Checker.Hybrid.check ~meter:m_hy f src )
+    ( Checker.Df.check f src,
+      Checker.Bf.check f src,
+      Checker.Hybrid.check f src )
   with
-  | Ok df, Ok bf, Ok hy -> (df, bf, hy, m_df, m_bf, m_hy)
+  | Ok df, Ok bf, Ok hy -> (df, bf, hy)
   | Error d, _, _ -> Alcotest.failf "df: %s" (D.to_string d)
   | _, Error d, _ -> Alcotest.failf "bf: %s" (D.to_string d)
   | _, _, Error d -> Alcotest.failf "hybrid: %s" (D.to_string d)
@@ -27,7 +24,7 @@ let test_families_accepted () =
       match result with
       | Solver.Cdcl.Sat _ -> Alcotest.failf "%s unexpectedly sat" fam.name
       | Solver.Cdcl.Unsat ->
-        let df, bf, hy, _, _, _ = check_all f trace in
+        let df, bf, hy = check_all f trace in
         Alcotest.check Alcotest.int
           (fam.name ^ ": same learned total")
           df.total_learned hy.total_learned;
@@ -46,9 +43,8 @@ let test_resource_profile () =
   (match result with
    | Solver.Cdcl.Unsat -> ()
    | Solver.Cdcl.Sat _ -> Alcotest.fail "php unsat");
-  let df, bf, hy, m_df, _m_bf, m_hy = check_all f trace in
-  let df_peak = Harness.Meter.peak_words m_df in
-  let hy_peak = Harness.Meter.peak_words m_hy in
+  let df, bf, hy = check_all f trace in
+  let df_peak = df.peak_mem_words and hy_peak = hy.peak_mem_words in
   Alcotest.check Alcotest.bool
     (Printf.sprintf "hybrid peak (%d) well below df peak (%d)" hy_peak
        df_peak)
@@ -62,13 +58,12 @@ let test_fits_df_busting_budget () =
   let f = Gen.Php.unsat ~holes:6 in
   let _, _, trace = Pipeline.Validate.solve_with_trace f in
   let src = Trace.Reader.From_string trace in
-  let m_df = Harness.Meter.create () in
-  (match Checker.Df.check ~meter:m_df f src with
-   | Ok _ -> ()
-   | Error d -> Alcotest.failf "df: %s" (D.to_string d));
-  let budget = Harness.Meter.peak_words m_df / 2 in
-  let m = Harness.Meter.create ~limit_words:budget () in
-  match Checker.Hybrid.check ~meter:m f src with
+  let budget =
+    match Checker.Df.check f src with
+    | Ok r -> r.peak_mem_words / 2
+    | Error d -> Alcotest.failf "df: %s" (D.to_string d)
+  in
+  match Checker.Hybrid.check ~mem_limit:budget f src with
   | Ok _ -> ()
   | Error d -> Alcotest.failf "hybrid under budget: %s" (D.to_string d)
 
@@ -76,7 +71,7 @@ let test_core_agrees_with_df_superset () =
   (* the hybrid core contains DF's core: both are valid unsat cores *)
   let f = Gen.Php.unsat ~holes:4 in
   let _, _, trace = Pipeline.Validate.solve_with_trace f in
-  let df, _, hy, _, _, _ = check_all f trace in
+  let df, _, hy = check_all f trace in
   List.iter
     (fun id ->
       if not (List.mem id hy.core_original_ids) then

@@ -376,6 +376,22 @@ let test_json_rejects_garbage () =
       | _ -> Alcotest.failf "parser accepted %S" s)
     bad
 
+(* [Ctl.time] reads the span clock, which runs whether or not telemetry
+   is recording: an interval that waits 10 ms on [now_s] measures at
+   least that. *)
+let test_clock_time () =
+  let x, seconds =
+    Obs.Ctl.time (fun () ->
+        let t0 = Obs.Ctl.now_s () in
+        while Obs.Ctl.now_s () -. t0 < 0.01 do
+          ()
+        done;
+        42)
+  in
+  Alcotest.check Alcotest.int "result passed through" 42 x;
+  Alcotest.check Alcotest.bool "elapsed on the span clock" true
+    (seconds >= 0.01)
+
 let suite =
   [
     ( "obs",
@@ -404,5 +420,6 @@ let suite =
         Alcotest.test_case "json parser roundtrip" `Quick test_json_roundtrip;
         Alcotest.test_case "json parser rejects garbage" `Quick
           test_json_rejects_garbage;
+        Alcotest.test_case "clock time" `Quick test_clock_time;
       ] );
   ]

@@ -255,18 +255,18 @@ let test_temp_files_removed_on_memory_out () =
   @@ fun () ->
   List.iter
     (fun (name, check) ->
-      let meter = Harness.Meter.create ~limit_words:50 () in
-      (match check meter (Trace.Reader.From_string trace) with
-       | exception Harness.Meter.Out_of_memory_simulated _ -> ()
+      (match check ~mem_limit:50 (Trace.Reader.From_string trace) with
+       | exception Proof.Clause_db.Out_of_memory_simulated _ -> ()
        | Ok _ | Error _ ->
          Alcotest.failf "%s: the memory limit never tripped" name);
       Alcotest.check (Alcotest.list Alcotest.string)
         (name ^ ": temp dir empty") [] (leftovers ()))
     [
       ( "bf temp-file",
-        fun meter src ->
-          Checker.Bf.check ~meter ~counting:(`Temp_file 64) f src );
-      ("window", fun meter src -> Checker.Window.check ~meter ~window:4 f src);
+        fun ~mem_limit src ->
+          Checker.Bf.check ~mem_limit ~counting:(`Temp_file 64) f src );
+      ( "window",
+        fun ~mem_limit src -> Checker.Window.check ~mem_limit ~window:4 f src );
     ]
 
 let suite =
