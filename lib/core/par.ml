@@ -6,10 +6,9 @@
    at level 0 — so clauses in the same wavefront cannot depend on each
    other.  Pass two replays one wavefront at a time: a fixed pool of
    worker domains pulls chunks of the wavefront's resolution chains off a
-   shared queue and replays them through the re-entrant
-   {!Proof.Kernel.resolve_ro}, reading store operands in place from a
-   {!Proof.Clause_db.ro} view frozen at dispatch — only the running
-   resolvent lives in domain-local scratch — while the shared
+   shared queue and replays each in its own {!Proof.Resolvent}
+   accumulator, reading store operands in place from a
+   {!Proof.Clause_db.ro} view frozen at dispatch, while the shared
    {!Proof.Clause_db} stays read-only.  At the wavefront barrier
    the main thread — alone — commits every result in stream order:
    allocates the resolvents, folds the counter deltas in, defines or
@@ -47,19 +46,6 @@ type outcome =
   | Fail of Proof.Diagnostics.failure
   | Skipped
 
-(* Domain-local scratch: the running resolvent ping-pongs between [cur]
-   and [out].  Store operands are no longer staged here — they are read
-   in place from the wavefront's frozen view.  Nothing here is shared. *)
-type scratch = {
-  mutable cur : int array;
-  mutable out : int array;
-}
-
-let make_scratch () = { cur = Array.make 64 0; out = Array.make 64 0 }
-
-let grown a n =
-  if Array.length a >= n then a else Array.make (max n (2 * Array.length a)) 0
-
 (* BF uses this context string for every chain failure; reusing it verbatim
    keeps parallel diagnostics bit-identical to sequential ones. *)
 let context = "breadth-first reconstruction"
@@ -78,40 +64,31 @@ let peek_handle k id =
        originals are materialised before their wavefront is dispatched *)
     Proof.Diagnostics.fail (Proof.Diagnostics.Unknown_clause { context; id })
 
-(* Replay one learned clause's chain in scratch — the worker-side mirror
-   of {!Proof.Kernel.chain}, including its [c1_id] convention:
-   intermediate resolvents belong to the learned id.  The first source is
-   copied once to seed the running resolvent; every other operand is read
-   in place from the frozen view. *)
-let run_task k view sc t =
+(* Replay one learned clause's chain in the domain's accumulator — the
+   worker-side mirror of {!Proof.Kernel.chain}, including its [c1_id]
+   convention: intermediate resolvents belong to the learned id.  Every
+   operand is read in place from the frozen view. *)
+let run_task k acc view t =
   let n = Array.length t.sources in
   if n = 1 then Single
   else
     try
-      let len =
-        ref
-          (let h = peek_handle k t.sources.(0) in
-           sc.cur <- grown sc.cur (Proof.Clause_db.ro_size view h);
-           Proof.Clause_db.ro_copy_lits view h sc.cur)
-      in
+      let arena = Proof.Clause_db.ro_arena view in
+      let h0 = peek_handle k t.sources.(0) in
+      Proof.Resolvent.start acc arena (Proof.Clause_db.offset h0)
+        (Proof.Clause_db.ro_size view h0);
       let merges = ref 0 in
-      let c1_id = ref t.sources.(0) in
       for i = 1 to n - 1 do
         let h = peek_handle k t.sources.(i) in
-        let nb = Proof.Clause_db.ro_size view h in
-        sc.out <- grown sc.out (!len + nb);
-        let len', _pivot, m =
-          Proof.Kernel.resolve_ro ~context ~c1_id:!c1_id
-            ~c2_id:t.sources.(i) sc.cur !len view h sc.out
-        in
-        let tmp = sc.cur in
-        sc.cur <- sc.out;
-        sc.out <- tmp;
-        len := len';
-        merges := !merges + m;
-        c1_id := t.id
+        ignore
+          (Proof.Resolvent.step acc ~context
+             ~c1_id:(if i = 1 then t.sources.(0) else t.id)
+             ~c2_id:t.sources.(i) arena (Proof.Clause_db.offset h)
+             (Proof.Clause_db.ro_size view h));
+        merges := !merges + Proof.Resolvent.merges acc
       done;
-      Clause { lits = Array.sub sc.cur 0 !len; steps = n - 1; merges = !merges }
+      Clause
+        { lits = Proof.Resolvent.to_array acc; steps = n - 1; merges = !merges }
     with Proof.Diagnostics.Check_failed f -> Fail f
 
 (* --- the worker pool ---------------------------------------------------- *)
@@ -153,8 +130,8 @@ let make_pool db =
     crashed = None;
   }
 
-let worker kernel pool shard () =
-  let sc = make_scratch () in
+let worker kernel ~nvars pool shard () =
+  let acc = Proof.Resolvent.create nvars in
   (* lock-free per-domain telemetry: the shard has one writer (this
      worker) and is read and zeroed by the main thread only at barriers *)
   let sh_tasks = Obs.Metrics.shard_counter shard "par.tasks_replayed" in
@@ -183,7 +160,7 @@ let worker kernel pool shard () =
         let r =
           if t.seq >= limit then Skipped
           else
-            try run_task kernel view sc t
+            try run_task kernel acc view t
             with e ->
               Mutex.lock pool.m;
               if pool.crashed = None then pool.crashed <- Some e;
@@ -361,13 +338,15 @@ let check ?mem_limit ?format ?io ?(jobs = 1) ?(window = default_window)
       tasks
   in
   let pool = make_pool db in
+  let nvars = Sat.Cnf.nvars formula in
   let shards = Array.init jobs (fun _ -> Obs.Metrics.shard ()) in
   let domains =
     if jobs > 1 && Array.length fronts > 0 then
-      List.init jobs (fun i -> Domain.spawn (worker kernel pool shards.(i)))
+      List.init jobs (fun i ->
+          Domain.spawn (worker kernel ~nvars pool shards.(i)))
     else []
   in
-  let inline_scratch = make_scratch () in
+  let inline_acc = Proof.Resolvent.create nvars in
   Driver.pass_two ~cat:"par" (fun () ->
       Fun.protect
         ~finally:(fun () -> shutdown pool domains)
@@ -390,7 +369,7 @@ let check ?mem_limit ?format ?io ?(jobs = 1) ?(window = default_window)
                   (fun i t ->
                     results.(i) <-
                       (if t.seq >= !min_fail_seq then Skipped
-                       else run_task kernel view inline_scratch t))
+                       else run_task kernel inline_acc view t))
                   front
               else begin
                 dispatch pool front results ~view ~limit_seq:!min_fail_seq

@@ -6,12 +6,13 @@
     [1 + max (level of sources)], originals at level 0 — so all chains in
     one wavefront are mutually independent.  Pass two dispatches each
     wavefront's resolution chains to a fixed pool of worker domains
-    (stdlib [Domain]/[Mutex]/[Condition], chunked work queue); workers
-    replay chains through {!Proof.Kernel.resolve_arrays} into per-domain
-    scratch while the shared clause store is read-only.  At each
-    wavefront barrier the main thread alone commits results in stream
-    order — allocation, use-count definition/release and counter updates
-    all stay single-threaded and deterministic.
+    (stdlib [Domain]/[Mutex]/[Condition], chunked work queue); each
+    worker replays chains in its own {!Proof.Resolvent} accumulator,
+    reading operands in place from a frozen view of the shared clause
+    store, which stays read-only.  At each wavefront barrier the main
+    thread alone commits results in stream order — allocation, use-count
+    definition/release and counter updates all stay single-threaded and
+    deterministic.
 
     Verdicts, unsat cores (empty, as for BF) and failure diagnostics are
     bit-identical to {!Bf.check} at every job count: a failing run

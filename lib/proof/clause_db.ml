@@ -136,7 +136,9 @@ let slot db n =
     db.top <- db.top + header_words + n;
     h
 
-let account_alloc db n =
+(* A clause's account, apart from its arena slot: all an intermediate
+   chain resolvent ever takes from the store. *)
+let book db n =
   (* the account may refuse (simulated memory-out) — charge it first so
      a refused clause leaves the store untouched *)
   charge db (n + clause_overhead);
@@ -146,8 +148,13 @@ let account_alloc db n =
   db.resident <- db.resident + header_words + n;
   if db.resident > db.peak_resident then db.peak_resident <- db.resident
 
+let unbook db n =
+  credit db (n + clause_overhead);
+  db.live <- db.live - 1;
+  db.resident <- db.resident - (header_words + n)
+
 let alloc_sorted db buf n =
-  account_alloc db n;
+  book db n;
   let h = slot db n in
   db.arena.{h} <- n;
   db.arena.{h + 1} <- 1;
@@ -160,7 +167,7 @@ let alloc db c =
   let n = Array.length c in
   let buf = Array.make n 0 in
   Array.blit c 0 buf 0 n;
-  Array.sort Int.compare buf;
+  Resolvent.sort buf n;
   (* drop exact duplicates in place; both phases of a variable are
      distinct packed ints and are kept *)
   let k = ref 0 in
@@ -191,14 +198,8 @@ let iter_lits db h f =
     f (lit db h i)
   done
 
-let copy_lits db h dst =
-  let n = size db h in
-  if Array.length dst < n then
-    invalid_arg "Clause_db.copy_lits: destination too small";
-  for i = 0 to n - 1 do
-    Array.unsafe_set dst i db.arena.{h + header_words + i}
-  done;
-  n
+let arena db = db.arena
+let offset h = h + header_words
 
 let refcount db h = db.arena.{h + 1}
 
@@ -212,9 +213,7 @@ let release db h =
   db.arena.{h + 1} <- rc;
   if rc <= 0 then begin
     let n = db.arena.{h} in
-    credit db (n + clause_overhead);
-    db.live <- db.live - 1;
-    db.resident <- db.resident - (header_words + n);
+    unbook db n;
     let free = Option.value ~default:[] (Hashtbl.find_opt db.freelist n) in
     Hashtbl.replace db.freelist n (h :: free)
   end
@@ -246,6 +245,8 @@ let check_frozen ro h =
 let ro_size ro h =
   check_frozen ro h;
   ro.ro_arena.{h}
+
+let ro_arena ro = ro.ro_arena
 
 let ro_lit ro h i : Sat.Lit.t = ro.ro_arena.{h + header_words + i}
 

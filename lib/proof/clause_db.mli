@@ -97,14 +97,26 @@ val lits : t -> handle -> Sat.Lit.t array
 
 val iter_lits : t -> handle -> (Sat.Lit.t -> unit) -> unit
 
-(** [copy_lits db h dst] copies the clause's literals into
-    [dst.(0 .. n-1)] and returns [n], without allocating — the parallel
-    checker's workers use it to pull operands into domain-local scratch.
-    Safe to call from several domains at once as long as no domain is
-    allocating into or releasing from the store (the wavefront barrier
-    discipline).
-    @raise Invalid_argument when [dst] is too small. *)
-val copy_lits : t -> handle -> int array -> int
+(** {2 In-place operand access}
+
+    The resolution step loop ({!Resolvent.step}) reads a clause's
+    literals straight from the arena region, without a call per literal:
+    clause [h] holds [size db h] literals at [arena db] indices
+    [offset h ..].  A fetch may grow the arena and relocate it, so read
+    {!arena} after the operand's last fetch. *)
+
+type arena = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+val arena : t -> arena
+val offset : handle -> int
+
+(** [book db n] / [unbook db n] account for a clause of [n] literals
+    that is never written to the arena — an intermediate chain resolvent:
+    [book] charges it and counts it live and resident exactly as
+    {!alloc} would ([Out_of_memory_simulated] included), [unbook] takes
+    it back off as the clause's last {!release} would. *)
+val book : t -> int -> unit
+val unbook : t -> int -> unit
 
 (** [retain db h] adds a reference. *)
 val retain : t -> handle -> unit
@@ -145,6 +157,10 @@ val freeze : t -> ro
 (** [ro_size ro h] is the clause's literal count.  In debug mode a handle
     past the frozen bump pointer raises {!Use_after_free}. *)
 val ro_size : ro -> handle -> int
+
+(** [ro_arena ro] is the frozen region, for in-place operand access as
+    with {!arena}. *)
+val ro_arena : ro -> arena
 
 (** [ro_lit ro h i] is the [i]-th literal (packed order), read directly
     from the shared region. *)

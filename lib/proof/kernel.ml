@@ -11,6 +11,7 @@ type t = {
   mutable steps : int;
   mutable merges : int;
   mutable scratch : int array;                  (* merge output buffer *)
+  acc : Resolvent.t;                            (* chain's running resolvent *)
 }
 
 (* Telemetry handles, resolved once.  The kernel updates them at chain
@@ -39,6 +40,7 @@ let create ?mem_limit formula =
     steps = 0;
     merges = 0;
     scratch = Array.make 64 0;
+    acc = Resolvent.create (Sat.Cnf.nvars formula);
   }
 
 let db t = t.db
@@ -171,195 +173,10 @@ let resolve_lits t ~context ~c1_id ~c2_id c1 c2 =
   Clause_db.release t.db h2;
   (out, pivot)
 
-(* --- re-entrant scratch resolution -------------------------------------- *)
-
-(* The same checked resolution as {!resolve}, but on caller-owned literal
-   arrays: no kernel counters, no shared-arena allocation, no mutable
-   kernel state at all.  The parallel checker's worker domains run whole
-   chains through this while the shared store is read-only, and commit
-   the results (and the counter deltas) at the wavefront barrier. *)
-
-let clashing_vars_arrays a na b nb =
-  let clashes = ref [] in
-  let i = ref 0 and j = ref 0 in
-  let var_mask c n r =
-    let v = Sat.Lit.var c.(!r) in
-    let m = ref 0 in
-    while !r < n && Sat.Lit.var c.(!r) = v do
-      m := !m lor phase_bit c.(!r);
-      incr r
-    done;
-    (v, !m)
-  in
-  while !i < na && !j < nb do
-    let v1 = Sat.Lit.var a.(!i) and v2 = Sat.Lit.var b.(!j) in
-    if v1 < v2 then ignore (var_mask a na i)
-    else if v2 < v1 then ignore (var_mask b nb j)
-    else begin
-      let _, m1 = var_mask a na i in
-      let _, m2 = var_mask b nb j in
-      if m1 land swap_mask m2 <> 0 then clashes := v1 :: !clashes
-    end
-  done;
-  List.rev !clashes
-
-(* [resolve_arrays ~context ~c1_id ~c2_id a na b nb out] resolves the
-   sorted duplicate-free runs [a.(0..na-1)] and [b.(0..nb-1)] into [out]
-   (capacity at least [na + nb]) and returns
-   [(resolvent length, pivot, merged literal count)].  Raises the same
-   diagnostics as {!resolve}. *)
-let resolve_arrays ~context ~c1_id ~c2_id a na b nb out =
-  let pivot =
-    match clashing_vars_arrays a na b nb with
-    | [ v ] -> v
-    | [] ->
-      Diagnostics.fail
-        (Diagnostics.No_clash
-           { context; c1_id; c2_id; c1 = Array.sub a 0 na; c2 = Array.sub b 0 nb })
-    | vars ->
-      Diagnostics.fail (Diagnostics.Multiple_clash { context; c1_id; c2_id; vars })
-  in
-  let k = ref 0 and i = ref 0 and j = ref 0 in
-  let merges = ref 0 in
-  let emit l =
-    if Sat.Lit.var l <> pivot then begin
-      out.(!k) <- l;
-      incr k
-    end
-  in
-  while !i < na && !j < nb do
-    let l1 = a.(!i) and l2 = b.(!j) in
-    if l1 = l2 then begin
-      emit l1;
-      if Sat.Lit.var l1 <> pivot then incr merges;
-      incr i;
-      incr j
-    end
-    else if l1 < l2 then begin
-      emit l1;
-      incr i
-    end
-    else begin
-      emit l2;
-      incr j
-    end
-  done;
-  while !i < na do
-    emit a.(!i);
-    incr i
-  done;
-  while !j < nb do
-    emit b.(!j);
-    incr j
-  done;
-  (!k, pivot, !merges)
-
-(* --- frozen-view resolution --------------------------------------------- *)
-
-(* The same checked resolution again, with the second operand read in
-   place from a {!Clause_db.ro} view instead of a scratch copy.  This is
-   the zero-copy half of the wavefront workers' hot loop: the running
-   resolvent lives in domain-local scratch, every store operand stays in
-   the shared arena. *)
-
-let clashing_vars_ro a na ro h2 nb =
-  let clashes = ref [] in
-  let i = ref 0 and j = ref 0 in
-  let var_mask_a () =
-    let v = Sat.Lit.var a.(!i) in
-    let m = ref 0 in
-    while !i < na && Sat.Lit.var a.(!i) = v do
-      m := !m lor phase_bit a.(!i);
-      incr i
-    done;
-    (v, !m)
-  in
-  let var_mask_b () =
-    let v = Sat.Lit.var (Clause_db.ro_lit ro h2 !j) in
-    let m = ref 0 in
-    while
-      !j < nb && Sat.Lit.var (Clause_db.ro_lit ro h2 !j) = v
-    do
-      m := !m lor phase_bit (Clause_db.ro_lit ro h2 !j);
-      incr j
-    done;
-    (v, !m)
-  in
-  while !i < na && !j < nb do
-    let v1 = Sat.Lit.var a.(!i)
-    and v2 = Sat.Lit.var (Clause_db.ro_lit ro h2 !j) in
-    if v1 < v2 then ignore (var_mask_a ())
-    else if v2 < v1 then ignore (var_mask_b ())
-    else begin
-      let _, m1 = var_mask_a () in
-      let _, m2 = var_mask_b () in
-      if m1 land swap_mask m2 <> 0 then clashes := v1 :: !clashes
-    end
-  done;
-  List.rev !clashes
-
-let resolve_ro ~context ~c1_id ~c2_id a na ro h2 out =
-  let nb = Clause_db.ro_size ro h2 in
-  let pivot =
-    match clashing_vars_ro a na ro h2 nb with
-    | [ v ] -> v
-    | [] ->
-      Diagnostics.fail
-        (Diagnostics.No_clash
-           {
-             context;
-             c1_id;
-             c2_id;
-             c1 = Array.sub a 0 na;
-             c2 = Array.init nb (Clause_db.ro_lit ro h2);
-           })
-    | vars ->
-      Diagnostics.fail
-        (Diagnostics.Multiple_clash { context; c1_id; c2_id; vars })
-  in
-  let k = ref 0 and i = ref 0 and j = ref 0 in
-  let merges = ref 0 in
-  let emit l =
-    if Sat.Lit.var l <> pivot then begin
-      out.(!k) <- l;
-      incr k
-    end
-  in
-  while !i < na && !j < nb do
-    let l1 = a.(!i) and l2 = Clause_db.ro_lit ro h2 !j in
-    if l1 = l2 then begin
-      emit l1;
-      if Sat.Lit.var l1 <> pivot then incr merges;
-      incr i;
-      incr j
-    end
-    else if l1 < l2 then begin
-      emit l1;
-      incr i
-    end
-    else begin
-      emit l2;
-      incr j
-    end
-  done;
-  while !i < na do
-    emit a.(!i);
-    incr i
-  done;
-  while !j < nb do
-    emit (Clause_db.ro_lit ro h2 !j);
-    incr j
-  done;
-  (!k, pivot, !merges)
-
 (* [peek t id] is the read-only id lookup: never materialises an original,
    never mutates — the only table access worker domains are allowed. *)
 let peek t id = Hashtbl.find_opt t.handles id
 
-(* [record_external_chain t ~learned_id ~steps ~merges] folds the counter
-   deltas of a chain performed outside the kernel (through
-   {!resolve_arrays}) into the kernel's totals, so reports agree exactly
-   with a sequential run.  Single-threaded: call only at a barrier. *)
 (* One telemetry update per completed chain: counters for the chain and
    its resolution steps, live gauges for the arena, and a sampler tick. *)
 let observe_chain t ~nsources ~steps =
@@ -373,6 +190,9 @@ let observe_chain t ~nsources ~steps =
     Obs.Sampler.tick ()
   end
 
+(* [record_external_chain] folds in the counter deltas of a chain the
+   parallel checker's workers replayed, so reports agree exactly with a
+   sequential run.  Single-threaded: call only at a barrier. *)
 let record_external_chain t ~learned_id ~steps ~merges =
   t.built <- t.built + 1;
   t.built_ids <- learned_id :: t.built_ids;
@@ -387,31 +207,45 @@ let chain t ~context ~fetch ~combine ~learned_id ids =
   t.built <- t.built + 1;
   t.built_ids <- learned_id :: t.built_ids;
   t.built_sorted <- None;
-  let steps_before = t.steps in
+  let db = t.db and last = Array.length ids - 1 in
   let h0, a0 = fetch ids.(0) in
-  if Array.length ids = 1 then begin
+  if last = 0 then begin
     (* a degenerate learned clause is the source clause itself *)
-    Clause_db.retain t.db h0;
+    Clause_db.retain db h0;
     observe_chain t ~nsources:1 ~steps:0;
     (h0, a0)
   end
   else begin
-    let cur = ref h0 and ann = ref a0 in
-    let cur_id = ref ids.(0) in
-    let owned = ref false in
-    for idx = 1 to Array.length ids - 1 do
+    Resolvent.start t.acc (Clause_db.arena db) (Clause_db.offset h0)
+      (Clause_db.size db h0);
+    let result = ref h0 and ann = ref a0 in
+    let c1_id = ref ids.(0) and booked = ref 0 in
+    for idx = 1 to last do
       let h, a = fetch ids.(idx) in
-      let r, pivot =
-        resolve t ~context ~c1_id:!cur_id ~c2_id:ids.(idx) !cur h
+      let n = Clause_db.size db h in
+      let pivot =
+        Resolvent.step t.acc ~context ~c1_id:!c1_id ~c2_id:ids.(idx)
+          (Clause_db.arena db) (Clause_db.offset h) n
       in
-      if !owned then Clause_db.release t.db !cur;
-      owned := true;
-      cur := r;
+      t.steps <- t.steps + 1;
+      t.merges <- t.merges + Resolvent.merges t.acc;
+      (* each intermediate is booked in the store as if allocated, and
+         credited when the next one replaces it; only the chain's result
+         is written to the arena *)
+      let len = Resolvent.length t.acc in
+      if idx < last then Clause_db.book db len
+      else begin
+        ensure_scratch t len;
+        let len = Resolvent.blit t.acc t.scratch in
+        result := Clause_db.alloc_sorted db t.scratch len
+      end;
+      if idx > 1 then Clause_db.unbook db !booked;
+      booked := len;
       ann := combine ~pivot !ann a;
-      cur_id := learned_id (* intermediate resolvents belong to the learned id *)
+      c1_id := learned_id (* intermediate resolvents belong to the learned id *)
     done;
-    observe_chain t ~nsources:(Array.length ids) ~steps:(t.steps - steps_before);
-    (!cur, !ann)
+    observe_chain t ~nsources:(last + 1) ~steps:last;
+    (!result, !ann)
   end
 
 let unit_combine ~pivot:_ () () = ()

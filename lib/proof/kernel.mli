@@ -17,9 +17,12 @@
       discipline, generalised over a clause annotation so interpolation
       (McMillan's rule) rides the same traversal as plain checking.
 
-    Every resolution performed anywhere in the system goes through
-    {!resolve} here, which enforces the paper's side condition: exactly
-    one variable in opposite phases, no tautological resolvents. *)
+    Every resolution the checkers perform enforces the paper's side
+    condition — exactly one variable in opposite phases, no tautological
+    resolvents — in one of two places: {!chain} folds a learned clause's
+    sources through a {!Resolvent} accumulator (so do the parallel
+    checker's workers, one accumulator per domain), and {!resolve} is
+    the pairwise step the empty-clause construction takes. *)
 
 type t
 
@@ -76,47 +79,10 @@ val resolve_lits :
   Sat.Lit.t array ->
   Sat.Lit.t array * Sat.Lit.var
 
-(** {2 Re-entrant scratch resolution}
+(** {2 Replay outside the kernel}
 
-    The parallel checker's worker domains replay resolution chains while
-    the shared store is read-only; these entry points touch no kernel
-    state, so any number of domains may run them concurrently. *)
-
-(** [resolve_arrays ~context ~c1_id ~c2_id a na b nb out] is the same
-    checked resolution as {!resolve}, on the sorted duplicate-free packed
-    literal runs [a.(0..na-1)] and [b.(0..nb-1)], writing the resolvent
-    into the caller-owned [out] (capacity at least [na + nb]).  Returns
-    [(resolvent length, pivot, merged literal count)]; updates no
-    counters and allocates nothing in any shared arena.
-    @raise Diagnostics.Check_failed with [No_clash] or [Multiple_clash]
-    when the side condition fails. *)
-val resolve_arrays :
-  context:string ->
-  c1_id:int ->
-  c2_id:int ->
-  int array ->
-  int ->
-  int array ->
-  int ->
-  int array ->
-  int * Sat.Lit.var * int
-
-(** [resolve_ro ~context ~c1_id ~c2_id a na ro h2 out] is
-    {!resolve_arrays} with the second operand read in place from the
-    frozen store view [ro] (handle [h2]) instead of a caller copy —
-    worker domains resolve against shared clauses with zero per-operand
-    copying.  Same result, counters and diagnostics as copying the
-    clause out first. *)
-val resolve_ro :
-  context:string ->
-  c1_id:int ->
-  c2_id:int ->
-  int array ->
-  int ->
-  Clause_db.ro ->
-  Clause_db.handle ->
-  int array ->
-  int * Sat.Lit.var * int
+    The parallel checker's worker domains replay chains in their own
+    {!Resolvent} accumulators while the shared store is read-only. *)
 
 (** [peek t id] is the read-only id lookup: [None] when [id] is unbound,
     never materialises an original clause, never mutates.  The only id
@@ -124,8 +90,8 @@ val resolve_ro :
 val peek : t -> int -> Clause_db.handle option
 
 (** [record_external_chain t ~learned_id ~steps ~merges] folds the
-    counter deltas of one learned-clause chain performed through
-    {!resolve_arrays} into the kernel totals (one built clause, [steps]
+    counter deltas of one learned-clause chain replayed outside the
+    kernel into the kernel totals (one built clause, [steps]
     resolutions, [merges] merged literals), keeping reports identical to
     a sequential run.  Single-threaded: call only at a barrier. *)
 val record_external_chain :
@@ -136,7 +102,13 @@ val record_external_chain :
     annotation through [combine] at each step, and returns the final
     clause (a handle owned by the caller — for a single-element chain, a
     retained alias of the source) with its annotation.  Counts one built
-    clause.
+    clause.  The running resolvent lives in the kernel's {!Resolvent}
+    accumulator and is written to the store once, at the end; each
+    intermediate is still {!Clause_db.book}ed, so the simulated account
+    and the live/resident counts move exactly as if every intermediate
+    were allocated and released.  [c1_id] in a diagnostic is [ids.(0)]
+    at the first step and [learned_id] after.  Not re-entrant: [fetch]
+    must not chain on the same kernel.
     @raise Diagnostics.Check_failed on any invalid step, and with
     [Empty_source_list] when [ids] is empty. *)
 val chain :

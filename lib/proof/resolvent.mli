@@ -1,0 +1,65 @@
+(** The running resolvent of one learned-clause chain.
+
+    {!Kernel.chain} folds a source list left to right; the running
+    resolvent is wide (tens to hundreds of literals) while each source
+    clause adds a handful.  The accumulator keeps the running resolvent
+    as a 2-bit phase mark per variable (bit 1: positive phase present,
+    bit 2: negative) plus a stack of the variables it has touched, so a
+    step reads only the new source clause: one walk finds the crosswise
+    variables, a second marks the source's literals in and counts the
+    merges.  The resolvent is sorted once, when the chain ends.
+
+    Operands are read in place from a clause-store arena region, without
+    a call per literal; the literal encoding is {!Sat.Lit}'s
+    ([var * 2 + sign]).  An accumulator is single-owner state: one per
+    kernel, one per worker domain. *)
+
+type arena = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+type t
+
+(** [create nvars] is an empty accumulator with marks for variables
+    [1 .. nvars]; it grows when an operand names a larger variable. *)
+val create : int -> t
+
+(** [start t arena off n] resets the accumulator (whatever an earlier,
+    possibly failed, chain left in it) and seeds it with the [n] sorted
+    literals at [arena.{off ..}]. *)
+val start : t -> arena -> int -> int -> unit
+
+(** [step t ~context ~c1_id ~c2_id arena off n] resolves the running
+    resolvent with the [n] sorted, duplicate-free literals at
+    [arena.{off ..}] and returns the pivot.  The side condition is
+    {!Kernel.resolve}'s: exactly one variable in opposite phases.
+    @raise Diagnostics.Check_failed with [No_clash] ([c1] the sorted
+    running resolvent, [c2] the operand) or [Multiple_clash] (variables
+    ascending), leaving the running resolvent unchanged. *)
+val step :
+  t ->
+  context:string ->
+  c1_id:int ->
+  c2_id:int ->
+  arena ->
+  int ->
+  int ->
+  Sat.Lit.var
+
+(** [length t] is the running resolvent's literal count. *)
+val length : t -> int
+
+(** [merges t] counts the literals the last {!step} found in both
+    operands (the pivot's excluded) and so emitted once. *)
+val merges : t -> int
+
+(** [blit t dst] writes the running resolvent, sorted, into
+    [dst.(0 .. length t - 1)] and returns [length t].
+    @raise Invalid_argument when [dst] is too small. *)
+val blit : t -> int array -> int
+
+(** [to_array t] is the running resolvent as a fresh sorted array. *)
+val to_array : t -> Sat.Lit.t array
+
+(** [sort a n] sorts [a.(0 .. n-1)] ascending in place: the one int sort
+    of the proof core, monomorphic (no comparison closure) and
+    O(n log n) in the worst case. *)
+val sort : int array -> int -> unit

@@ -123,6 +123,12 @@ let check_instance ~round f trace =
     [ 1; 7; max_int ]
 
 let fuzzed_agreement ~pre ~seed ~target () =
+  (* the matrix runs with the store's lifetime guards armed: any checker
+     touching a released clause fails here instead of reading a recycled
+     slot *)
+  let was = Proof.Clause_db.debug_enabled () in
+  Proof.Clause_db.set_debug true;
+  Fun.protect ~finally:(fun () -> Proof.Clause_db.set_debug was) @@ fun () ->
   let rng = Sat.Rng.create seed in
   let unsat_seen = ref 0 in
   let round = ref 0 in
