@@ -240,7 +240,7 @@ let table3 () =
 (* --- Ablation: solver design choices ------------------------------------ *)
 
 (* The design decisions DESIGN.md stars: restarts, learned-clause
-   deletion, random decisions, and the BCP scheme — each toggled on a
+   deletion, random decisions and clause minimization — each toggled on a
    medium suite, reporting solve time and conflicts. *)
 let ablation () =
   print_endline
@@ -256,7 +256,6 @@ let ablation () =
        { base with enable_minimization = true });
       ("luby restarts",
        { base with restart_sequence = Solver.Cdcl.Luby; restart_first = 32 });
-      ("counting BCP", { base with bcp = Solver.Cdcl.Counting });
       ("no learning-aids at all",
        { base with enable_restarts = false; enable_deletion = false;
          random_decision_freq = 0.0 });
@@ -1026,9 +1025,6 @@ let micro () =
     "Micro-benchmarks (Bechamel, monotonic clock, ns/run estimates)\n";
   let php6 = Gen.Php.unsat ~holes:6 in
   let php5 = Gen.Php.unsat ~holes:5 in
-  let counting_cfg =
-    { Solver.Cdcl.default_config with bcp = Solver.Cdcl.Counting }
-  in
   let trace5 =
     let _, _, t = Pipeline.Validate.solve_with_trace php5 in
     t
@@ -1043,12 +1039,8 @@ let micro () =
   let c2 = Sat.Clause.of_ints [ -1; 9; 10; 11; 12; 13; 14; 15 ] in
   let tests =
     [
-      (* ablation: Chaff's two-watched scheme vs counter-based BCP *)
-      Bechamel.Test.make ~name:"solve/php6/two-watched-bcp"
+      Bechamel.Test.make ~name:"solve/php6"
         (Bechamel.Staged.stage (fun () -> Solver.Cdcl.solve php6));
-      Bechamel.Test.make ~name:"solve/php6/counting-bcp"
-        (Bechamel.Staged.stage (fun () ->
-             Solver.Cdcl.solve ~config:counting_cfg php6));
       (* solving with and without trace generation (Table 1's contrast) *)
       Bechamel.Test.make ~name:"solve/php5/trace-off"
         (Bechamel.Staged.stage (fun () -> Solver.Cdcl.solve php5));

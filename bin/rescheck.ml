@@ -218,22 +218,6 @@ let seed_arg =
     & opt int Solver.Cdcl.default_config.seed
     & info [ "seed" ] ~docv:"N" ~doc:"Random seed for the solver.")
 
-let bcp_arg =
-  let parse = function
-    | "watched" -> Ok Solver.Cdcl.Two_watched
-    | "counting" -> Ok Solver.Cdcl.Counting
-    | s -> Error (`Msg (Printf.sprintf "unknown BCP scheme %S" s))
-  in
-  let print fmt = function
-    | Solver.Cdcl.Two_watched -> Format.pp_print_string fmt "watched"
-    | Solver.Cdcl.Counting -> Format.pp_print_string fmt "counting"
-  in
-  Arg.(
-    value
-    & opt (conv (parse, print)) Solver.Cdcl.Two_watched
-    & info [ "bcp" ] ~docv:"SCHEME"
-        ~doc:"Propagation scheme: $(b,watched) or $(b,counting).")
-
 let no_restarts_arg =
   Arg.(value & flag & info [ "no-restarts" ] ~doc:"Disable restarts.")
 
@@ -258,11 +242,10 @@ let sanitize_arg =
            trail and implication-graph invariants at every decision \
            boundary (large slowdown; debugging aid).")
 
-let config_of seed bcp no_restarts no_deletion minimize sanitize =
+let config_of seed no_restarts no_deletion minimize sanitize =
   {
     Solver.Cdcl.default_config with
     seed;
-    bcp;
     enable_restarts = not no_restarts;
     enable_deletion = not no_deletion;
     enable_minimization = minimize;
@@ -324,12 +307,10 @@ let print_stats (stats : Solver.Cdcl.stats) =
 (* --- solve -------------------------------------------------------------- *)
 
 let solve_cmd =
-  let run () formula_path trace_path format pre seed bcp no_restarts
-      no_deletion minimize sanitize =
+  let run () formula_path trace_path format pre seed no_restarts no_deletion
+      minimize sanitize =
     let f = load_formula formula_path in
-    let config =
-      config_of seed bcp no_restarts no_deletion minimize sanitize
-    in
+    let config = config_of seed no_restarts no_deletion minimize sanitize in
     (* no trace requested and no preprocessing: skip the encoder
        entirely, as solve always did *)
     let (result, stats, trace), seconds =
@@ -382,8 +363,8 @@ let solve_cmd =
     (Cmd.info "solve" ~doc:"Solve a DIMACS formula, optionally with a trace.")
     Term.(
       const run $ telemetry_term $ formula_arg $ trace_arg $ format_arg
-      $ pre_arg $ seed_arg $ bcp_arg $ no_restarts_arg $ no_deletion_arg
-      $ minimize_arg $ sanitize_arg)
+      $ pre_arg $ seed_arg $ no_restarts_arg $ no_deletion_arg $ minimize_arg
+      $ sanitize_arg)
 
 (* --- the checking-mode table -------------------------------------------- *)
 
@@ -971,14 +952,12 @@ let analyze_cmd =
 (* --- validate ------------------------------------------------------------ *)
 
 let validate_cmd =
-  let run () formula_path mode jobs window format pre seed bcp no_restarts
+  let run () formula_path mode jobs window format pre seed no_restarts
       no_deletion minimize sanitize analyze =
     at_least_one "jobs" jobs;
     at_least_one "window" window;
     let f = load_formula formula_path in
-    let config =
-      config_of seed bcp no_restarts no_deletion minimize sanitize
-    in
+    let config = config_of seed no_restarts no_deletion minimize sanitize in
     let strategy = mode.m_strategy ~jobs ~window in
     let o =
       or_sanitizer_exit (fun () ->
@@ -1035,9 +1014,8 @@ let validate_cmd =
           so the full encoded trace is never held in memory.")
     Term.(
       const run $ telemetry_term $ formula_arg $ strategy_arg $ jobs_arg
-      $ window_arg $ format_arg $ pre_arg $ seed_arg $ bcp_arg
-      $ no_restarts_arg $ no_deletion_arg $ minimize_arg $ sanitize_arg
-      $ analyze_flag_arg)
+      $ window_arg $ format_arg $ pre_arg $ seed_arg $ no_restarts_arg
+      $ no_deletion_arg $ minimize_arg $ sanitize_arg $ analyze_flag_arg)
 
 (* --- core ---------------------------------------------------------------- *)
 

@@ -2,8 +2,6 @@ type result =
   | Sat of Sat.Assignment.t
   | Unsat
 
-type bcp_scheme = Two_watched | Counting
-
 type restart_sequence = Geometric | Luby
 
 type config = {
@@ -18,7 +16,6 @@ type config = {
   max_learned_inc : float;
   random_decision_freq : float;
   seed : int;
-  bcp : bcp_scheme;
   sanitize : bool;
   emit_deletes : bool;
   inprocess_interval : int;
@@ -38,7 +35,6 @@ let default_config = {
   max_learned_inc = 1.1;
   random_decision_freq = 0.02;
   seed = 91648253;
-  bcp = Two_watched;
   sanitize = false;
   emit_deletes = false;
   inprocess_interval = 0;
@@ -97,9 +93,6 @@ type t = {
   nvars : int;
   clauses : clause_rec Sat.Vec.t;           (* index cid-1 *)
   watches : int Sat.Vec.t array;            (* per literal: watching cids *)
-  occurs : int Sat.Vec.t array;             (* Counting scheme occurrence lists *)
-  n_false : int Sat.Vec.t;                  (* Counting: false-literal count per cid-1 *)
-  n_true : int Sat.Vec.t;                   (* Counting: true-literal count per cid-1 *)
   value : int array;                        (* per var *)
   level : int array;                        (* per var *)
   reason : int array;                       (* per var: antecedent cid or 0 *)
@@ -144,18 +137,6 @@ let emit s e =
 
 (* --- assignment ------------------------------------------------------- *)
 
-(* Counters are maintained at assignment/unassignment time so that they
-   are exact even when a conflict aborts propagation mid-queue. *)
-let bump_counters s l delta =
-  Sat.Vec.iter
-    (fun cid ->
-      Sat.Vec.set s.n_true (cid - 1) (Sat.Vec.get s.n_true (cid - 1) + delta))
-    s.occurs.(l);
-  Sat.Vec.iter
-    (fun cid ->
-      Sat.Vec.set s.n_false (cid - 1) (Sat.Vec.get s.n_false (cid - 1) + delta))
-    s.occurs.(Sat.Lit.negate l)
-
 let enqueue s l reason =
   let v = Sat.Lit.var l in
   assert (s.value.(v) = v_unassigned);
@@ -163,8 +144,7 @@ let enqueue s l reason =
   s.level.(v) <- decision_level s;
   s.reason.(v) <- reason;
   s.pos.(v) <- Sat.Vec.length s.trail;
-  Sat.Vec.push s.trail l;
-  if s.cfg.bcp = Counting then bump_counters s l 1
+  Sat.Vec.push s.trail l
 
 (* --- two-watched-literal propagation ---------------------------------- *)
 
@@ -179,8 +159,10 @@ let detach_watch s c =
 (* Propagate all pending assignments; returns the cid of a conflicting
    clause, or 0.  This is the hot loop: when literal [fl] becomes false we
    visit only the clauses watching [fl], trying to move the watch to a
-   non-false literal (MiniSat-style in-place watch repair). *)
-let propagate_watched s =
+   non-false literal (MiniSat-style in-place watch repair).  A clause
+   that becomes unit is the reason of its slot-0 literal, and that slot
+   stays put while the literal is true: see [locked]. *)
+let propagate s =
   let conflict = ref 0 in
   while !conflict = 0 && s.qhead < Sat.Vec.length s.trail do
     let l = Sat.Vec.get s.trail s.qhead in
@@ -241,51 +223,10 @@ let propagate_watched s =
   if !conflict <> 0 then s.qhead <- Sat.Vec.length s.trail;
   !conflict
 
-(* --- counter-based propagation (ablation baseline) -------------------- *)
-
-let propagate_counting s =
-  let conflict = ref 0 in
-  while !conflict = 0 && s.qhead < Sat.Vec.length s.trail do
-    let l = Sat.Vec.get s.trail s.qhead in
-    s.qhead <- s.qhead + 1;
-    s.s_propagations <- s.s_propagations + 1;
-    let fl = Sat.Lit.negate l in
-    let occ = s.occurs.(fl) in
-    let n = Sat.Vec.length occ in
-    let i = ref 0 in
-    while !conflict = 0 && !i < n do
-      let cid = Sat.Vec.get occ !i in
-      incr i;
-      let c = clause_of s cid in
-      if not c.deleted && Sat.Vec.get s.n_true (cid - 1) = 0 then begin
-        let size = Array.length c.lits in
-        let nf = Sat.Vec.get s.n_false (cid - 1) in
-        if nf = size then conflict := cid
-        else if nf = size - 1 then begin
-          (* the single non-false literal must be unassigned: were it
-             true, n_true would be positive *)
-          let m = ref Sat.Lit.undef in
-          Array.iter
-            (fun q -> if lit_value s q <> v_false then m := q)
-            c.lits;
-          if !m <> Sat.Lit.undef && lit_value s !m = v_unassigned then
-            enqueue s !m cid
-        end
-      end
-    done
-  done;
-  !conflict
-
-let propagate s =
-  match s.cfg.bcp with
-  | Two_watched -> propagate_watched s
-  | Counting -> propagate_counting s
-
 (* --- backtracking ------------------------------------------------------ *)
 
 let unassign s l =
   let v = Sat.Lit.var l in
-  if s.cfg.bcp = Counting then bump_counters s l (-1);
   Bytes.set s.phase v (if s.value.(v) = v_true then '\001' else '\000');
   s.value.(v) <- v_unassigned;
   s.reason.(v) <- 0;
@@ -448,26 +389,7 @@ let new_clause s lits learned attached =
   let cid = Sat.Vec.length s.clauses + 1 in
   let c = { cid; lits; learned; activity = 0.0; deleted = false; attached } in
   Sat.Vec.push s.clauses c;
-  if s.cfg.bcp = Counting && attached then begin
-    Array.iter (fun l -> Sat.Vec.push s.occurs.(l) cid) lits;
-    (* counters start from the current assignment *)
-    let nf = ref 0 and nt = ref 0 in
-    Array.iter
-      (fun l ->
-        match lit_value s l with
-        | v when v = v_false -> incr nf
-        | v when v = v_true -> incr nt
-        | _ -> ())
-      lits;
-    Sat.Vec.push s.n_false !nf;
-    Sat.Vec.push s.n_true !nt
-  end
-  else begin
-    Sat.Vec.push s.n_false 0;
-    Sat.Vec.push s.n_true 0
-  end;
-  if attached && s.cfg.bcp = Two_watched && Array.length lits >= 2 then
-    attach_watch s c;
+  if attached && Array.length lits >= 2 then attach_watch s c;
   c
 
 let delete_clause s c =
@@ -475,9 +397,17 @@ let delete_clause s c =
     c.deleted <- true;
     s.s_deleted <- s.s_deleted + 1;
     if c.learned then s.n_learned_alive <- s.n_learned_alive - 1;
-    if c.attached && s.cfg.bcp = Two_watched && Array.length c.lits >= 2 then
-      detach_watch s c
+    if c.attached && Array.length c.lits >= 2 then detach_watch s c
   end
+
+(* Is [c] the antecedent of an assigned variable?  Every reason clause
+   holds its implied literal in slot 0 — propagation, learning and the
+   unit loaders all enqueue [lits.(0)], and propagation never moves a
+   true slot-0 literal — so slot 0 is the only place to look.  [c] has at
+   least one literal. *)
+let locked s c =
+  let v = Sat.Lit.var c.lits.(0) in
+  s.value.(v) <> v_unassigned && s.reason.(v) = c.cid
 
 (* Remove low-activity learned clauses.  Clauses that are the antecedent of
    a currently assigned variable are kept — the paper's §2.1 requirement —
@@ -486,14 +416,8 @@ let reduce_db s =
   let candidates = ref [] in
   Sat.Vec.iter
     (fun c ->
-      let locked =
-        Array.exists
-          (fun l ->
-            let v = Sat.Lit.var l in
-            s.value.(v) <> v_unassigned && s.reason.(v) = c.cid)
-          c.lits
-      in
-      if c.learned && not c.deleted && Array.length c.lits > 2 && not locked
+      if c.learned && not c.deleted && Array.length c.lits > 2
+         && not (locked s c)
       then candidates := c :: !candidates)
     s.clauses;
   let arr = Array.of_list !candidates in
@@ -567,61 +491,52 @@ let inprocess s =
   let n = Sat.Vec.length s.clauses in
   for i = 0 to n - 1 do
     let c = Sat.Vec.get s.clauses i in
-    if c.attached && not c.deleted then begin
-      let locked =
-        Array.exists
-          (fun l ->
-            let v = Sat.Lit.var l in
-            s.value.(v) <> v_unassigned && s.reason.(v) = c.cid)
-          c.lits
-      in
-      if not locked then begin
-        let n_true = ref 0 and false_lits = ref [] in
-        Array.iter
-          (fun l ->
-            match lit_value s l with
-            | v when v = v_true -> incr n_true
-            | v when v = v_false -> false_lits := l :: !false_lits
-            | _ -> ())
-          c.lits;
-        if !n_true > 0 then begin
-          delete_clause s c;
-          if c.learned then hint c
-        end
-        else if !false_lits <> [] then begin
-          let keep =
-            Array.of_list
-              (List.filter (fun l -> lit_value s l <> v_false)
-                 (Array.to_list c.lits))
+    if c.attached && not c.deleted && not (locked s c) then begin
+      let n_true = ref 0 and false_lits = ref [] in
+      Array.iter
+        (fun l ->
+          match lit_value s l with
+          | v when v = v_true -> incr n_true
+          | v when v = v_false -> false_lits := l :: !false_lits
+          | _ -> ())
+        c.lits;
+      if !n_true > 0 then begin
+        delete_clause s c;
+        if c.learned then hint c
+      end
+      else if !false_lits <> [] then begin
+        let keep =
+          Array.of_list
+            (List.filter (fun l -> lit_value s l <> v_false)
+               (Array.to_list c.lits))
+        in
+        (* [keep] has >= 2 literals on a conflict-free BCP fixpoint: an
+           empty or unit remainder would have conflicted or propagated *)
+        if Array.length keep >= 2
+           && Array.for_all
+                (fun l -> s.reason.(Sat.Lit.var l) <> 0)
+                (Array.of_list !false_lits)
+        then begin
+          let by_pos_desc =
+            List.sort
+              (fun a b ->
+                Int.compare s.pos.(Sat.Lit.var b) s.pos.(Sat.Lit.var a))
+              !false_lits
           in
-          (* [keep] has >= 2 literals on a conflict-free BCP fixpoint: an
-             empty or unit remainder would have conflicted or propagated *)
-          if Array.length keep >= 2
-             && Array.for_all
-                  (fun l -> s.reason.(Sat.Lit.var l) <> 0)
-                  (Array.of_list !false_lits)
-          then begin
-            let by_pos_desc =
-              List.sort
-                (fun a b ->
-                  Int.compare s.pos.(Sat.Lit.var b) s.pos.(Sat.Lit.var a))
-                !false_lits
-            in
-            let sources =
-              c.cid
-              :: List.map (fun l -> s.reason.(Sat.Lit.var l)) by_pos_desc
-            in
-            let cr = new_clause s keep c.learned true in
-            if c.learned then s.n_learned_alive <- s.n_learned_alive + 1;
-            emit s
-              (Trace.Event.Learned
-                 { id = cr.cid; sources = Array.of_list sources });
-            delete_clause s c;
-            (* the old clause was just referenced, so the checker has it
-               materialised whether learned or original: safe to hint *)
-            if s.cfg.emit_deletes && s.tracer <> None then
-              hints := c.cid :: !hints
-          end
+          let sources =
+            c.cid
+            :: List.map (fun l -> s.reason.(Sat.Lit.var l)) by_pos_desc
+          in
+          let cr = new_clause s keep c.learned true in
+          if c.learned then s.n_learned_alive <- s.n_learned_alive + 1;
+          emit s
+            (Trace.Event.Learned
+               { id = cr.cid; sources = Array.of_list sources });
+          delete_clause s c;
+          (* the old clause was just referenced, so the checker has it
+             materialised whether learned or original: safe to hint *)
+          if s.cfg.emit_deletes && s.tracer <> None then
+            hints := c.cid :: !hints
         end
       end
     end
@@ -648,16 +563,15 @@ let violation fmt =
         trail literal true with matching [pos] and [level], assignment
         count equals trail length, queue drained);
      2. implication-graph sanity and acyclicity: each assigned variable's
-        reason clause is alive, contains the variable's true literal, and
-        has every other literal false and assigned strictly earlier on
-        the trail — edges only point backwards, so no cycle can exist;
+        reason clause is alive, holds the variable's true literal in slot
+        0 (what [locked] reads), and has every other literal false and
+        assigned strictly earlier on the trail — edges only point
+        backwards, so no cycle can exist;
      3. BCP-fixpoint semantics for attached clauses: none falsified, no
         unpropagated unit;
      4. two-watched integrity: watch lists reference alive clauses
         through their slot-0/1 literals, and every watchable clause is
-        watched exactly twice;
-     5. counter integrity ([Counting] scheme): stored false/true counts
-        match the assignment. *)
+        watched exactly twice. *)
 let sanitize_state s =
   let n = Sat.Vec.length s.trail in
   let nlevels = Sat.Vec.length s.trail_lim in
@@ -695,27 +609,22 @@ let sanitize_state s =
         violation "var %d: reason %d is not a clause id" v r;
       let c = clause_of s r in
       if c.deleted then violation "var %d: reason clause %d deleted" v r;
-      let found = ref false in
-      Array.iter
-        (fun q ->
-          if Sat.Lit.var q = v then begin
-            found := true;
-            if lit_value s q <> v_true then
-              violation "reason %d holds var %d in the false phase" r v
-          end
-          else begin
-            if lit_value s q <> v_false then
-              violation "reason %d of var %d: literal %s not false" r v
-                (Sat.Lit.to_string q);
-            if s.pos.(Sat.Lit.var q) >= s.pos.(v) then
-              violation
-                "implication edge not chronological: var %d implied at \
-                 trail %d by var %d at trail %d"
-                v s.pos.(v) (Sat.Lit.var q)
-                s.pos.(Sat.Lit.var q)
-          end)
-        c.lits;
-      if not !found then violation "reason %d never mentions var %d" r v
+      if Array.length c.lits = 0 || Sat.Lit.var c.lits.(0) <> v then
+        violation "reason %d does not hold var %d in slot 0" r v;
+      if lit_value s c.lits.(0) <> v_true then
+        violation "reason %d holds var %d in the false phase" r v;
+      for k = 1 to Array.length c.lits - 1 do
+        let q = c.lits.(k) in
+        if lit_value s q <> v_false then
+          violation "reason %d of var %d: literal %s not false" r v
+            (Sat.Lit.to_string q);
+        if s.pos.(Sat.Lit.var q) >= s.pos.(v) then
+          violation
+            "implication edge not chronological: var %d implied at trail %d \
+             by var %d at trail %d"
+            v s.pos.(v) (Sat.Lit.var q)
+            s.pos.(Sat.Lit.var q)
+      done
     end
   done;
   Sat.Vec.iter
@@ -735,54 +644,44 @@ let sanitize_state s =
             violation "clause %d falsified at a decision boundary" c.cid;
           if !nf = len - 1 then
             violation "clause %d unit but not propagated" c.cid
-        end;
-        if s.cfg.bcp = Counting then begin
-          if Sat.Vec.get s.n_false (c.cid - 1) <> !nf then
-            violation "clause %d: false-count %d, assignment says %d" c.cid
-              (Sat.Vec.get s.n_false (c.cid - 1))
-              !nf;
-          if Sat.Vec.get s.n_true (c.cid - 1) <> !nt then
-            violation "clause %d: true-count %d, assignment says %d" c.cid
-              (Sat.Vec.get s.n_true (c.cid - 1))
-              !nt
         end
       end)
     s.clauses;
-  if s.cfg.bcp = Two_watched then begin
-    let watch_count = Hashtbl.create 256 in
-    Array.iteri
-      (fun l ws ->
-        Sat.Vec.iter
-          (fun cid ->
-            if cid < 1 || cid > Sat.Vec.length s.clauses then
-              violation "watch list of %d holds bogus clause id %d" l cid;
-            let c = clause_of s cid in
-            if c.deleted then
-              violation "watch list of %d holds deleted clause %d" l cid;
-            if Array.length c.lits < 2 || (c.lits.(0) <> l && c.lits.(1) <> l)
-            then
-              violation "clause %d watched on literal %d, not in its slots"
-                cid l;
-            Hashtbl.replace watch_count cid
-              (1 + Option.value ~default:0 (Hashtbl.find_opt watch_count cid)))
-          ws)
-      s.watches;
-    Sat.Vec.iter
-      (fun c ->
-        if c.attached && not c.deleted && Array.length c.lits >= 2 then begin
-          let w = Option.value ~default:0 (Hashtbl.find_opt watch_count c.cid) in
-          if w <> 2 then
-            violation "clause %d carried by %d watch lists, expected 2" c.cid w
-        end)
-      s.clauses
-  end
+  let watch_count = Hashtbl.create 256 in
+  Array.iteri
+    (fun l ws ->
+      Sat.Vec.iter
+        (fun cid ->
+          if cid < 1 || cid > Sat.Vec.length s.clauses then
+            violation "watch list of %d holds bogus clause id %d" l cid;
+          let c = clause_of s cid in
+          if c.deleted then
+            violation "watch list of %d holds deleted clause %d" l cid;
+          if Array.length c.lits < 2 || (c.lits.(0) <> l && c.lits.(1) <> l)
+          then
+            violation "clause %d watched on literal %d, not in its slots" cid
+              l;
+          Hashtbl.replace watch_count cid
+            (1 + Option.value ~default:0 (Hashtbl.find_opt watch_count cid)))
+        ws)
+    s.watches;
+  Sat.Vec.iter
+    (fun c ->
+      if c.attached && not c.deleted && Array.length c.lits >= 2 then begin
+        let w = Option.value ~default:0 (Hashtbl.find_opt watch_count c.cid) in
+        if w <> 2 then
+          violation "clause %d carried by %d watch lists, expected 2" c.cid w
+      end)
+    s.clauses
 
 (* --- decisions ---------------------------------------------------------- *)
 
 let pick_branch_var s =
   let v = ref 0 in
+  (* a formula without variables has nothing to draw from *)
   if
-    s.cfg.random_decision_freq > 0.0
+    s.nvars > 0
+    && s.cfg.random_decision_freq > 0.0
     && Sat.Rng.float s.rng < s.cfg.random_decision_freq
   then begin
     let u = 1 + Sat.Rng.int s.rng s.nvars in
@@ -855,9 +754,6 @@ let make_state cfg tracer nvars =
         ~dummy:{ cid = 0; lits = [||]; learned = false; activity = 0.0;
                  deleted = true; attached = false };
     watches = Array.init ((2 * nvars) + 2) (fun _ -> Sat.Vec.create ~dummy:0);
-    occurs = Array.init ((2 * nvars) + 2) (fun _ -> Sat.Vec.create ~dummy:0);
-    n_false = Sat.Vec.create ~dummy:0;
-    n_true = Sat.Vec.create ~dummy:0;
     value = Array.make (nvars + 1) v_unassigned;
     level = Array.make (nvars + 1) 0;
     reason = Array.make (nvars + 1) 0;
@@ -964,7 +860,8 @@ let luby x =
   done;
   1 lsl !seq
 
-let search s config assumptions =
+let search s assumptions =
+  let config = s.cfg in
   let assumptions = Array.of_list assumptions in
   let n_assumptions = Array.length assumptions in
   let restart_index = ref 0 in
@@ -1078,43 +975,46 @@ let search s config assumptions =
   | Some o -> o
   | None -> assert false
 
-(* one-shot setup: build the state, load the clauses, run the level-0
-   preprocessing BCP *)
-let setup config trace f =
-  let s = make_state config trace (Sat.Cnf.nvars f) in
-  emit s
-    (Trace.Event.Header
-       { nvars = s.nvars; num_original = Sat.Cnf.nclauses f });
-  s.max_learned <-
-    config.max_learned_factor *. float_of_int (Sat.Cnf.nclauses f);
-  let initial_conflict = load_original s f in
-  if initial_conflict <> 0 then begin
-    emit_final_conflict s initial_conflict;
-    (s, false)
-  end
-  else begin
-    let pre = propagate s in
-    if pre <> 0 then begin
-      s.s_conflicts <- s.s_conflicts + 1;
-      if Obs.Ctl.on () then Obs.Metrics.Counter.incr m_conflicts 1;
-      emit_final_conflict s pre;
-      (s, false)
-    end
-    else begin
-      if config.sanitize then sanitize_state s;
-      (s, true)
-    end
-  end
+(* The start every solve shares: build the state, fill it with [load] —
+   which returns the cid of an immediately conflicting clause, or 0 — and
+   run the level-0 BCP.  A conflict there is final: its level-0 records
+   are emitted and the state comes back dead. *)
+let start config trace ~nvars ~nclauses load =
+  let s = make_state config trace nvars in
+  s.max_learned <- config.max_learned_factor *. float_of_int nclauses;
+  let conflict =
+    match load s with
+    | 0 ->
+      let c = propagate s in
+      if c <> 0 then begin
+        s.s_conflicts <- s.s_conflicts + 1;
+        if Obs.Ctl.on () then Obs.Metrics.Counter.incr m_conflicts 1
+      end;
+      c
+    | c -> c
+  in
+  if conflict <> 0 then emit_final_conflict s conflict
+  else if config.sanitize then sanitize_state s;
+  (s, conflict = 0)
 
-let solve ?(config = default_config) ?trace f =
-  Obs.Span.scope ~cat:"solver" "solve" @@ fun () ->
-  let s, alive = setup config trace f in
+let finish (s, alive) =
   if not alive then (Unsat, stats_of s)
   else
-    match search s config [] with
+    match search s [] with
     | O_sat a -> (Sat a, stats_of s)
     | O_unsat_formula -> (Unsat, stats_of s)
     | O_unsat_assumptions _ -> assert false
+
+let setup config trace f =
+  let nclauses = Sat.Cnf.nclauses f in
+  start config trace ~nvars:(Sat.Cnf.nvars f) ~nclauses (fun s ->
+      emit s
+        (Trace.Event.Header { nvars = s.nvars; num_original = nclauses });
+      load_original s f)
+
+let solve ?(config = default_config) ?trace f =
+  Obs.Span.scope ~cat:"solver" "solve" @@ fun () ->
+  finish (setup config trace f)
 
 (* --- solving a pre-seeded id space (checked preprocessing) -------------- *)
 
@@ -1126,7 +1026,7 @@ type seed = {
 
 (* Ids the simplifier used for clauses it has since removed are parked as
    deleted, unattached placeholders so the cid = vector-index + 1
-   convention keeps holding; the parallel counting vectors stay aligned. *)
+   convention keeps holding. *)
 let pad_to s id =
   while Sat.Vec.length s.clauses + 1 < id do
     let cid = Sat.Vec.length s.clauses + 1 in
@@ -1138,16 +1038,14 @@ let pad_to s id =
         activity = 0.0;
         deleted = true;
         attached = false;
-      };
-    Sat.Vec.push s.n_false 0;
-    Sat.Vec.push s.n_true 0
+      }
   done
 
-(* Load the surviving clause set under the simplifier's ids.  The clauses
-   arrive normalized (no tautologies, no duplicate literals) and at a
-   propagation fixpoint, so an immediate conflict cannot arise — but the
-   degenerate paths are kept for robustness.  Returns the cid of an
-   immediately conflicting clause, or 0. *)
+(* Load the surviving clause set under the simplifier's ids, in id order.
+   The clauses arrive normalized (no tautologies, no duplicate literals)
+   and at a propagation fixpoint, so an immediate conflict cannot arise —
+   but the degenerate paths are kept for robustness.  Returns the cid of
+   an immediately conflicting clause, or 0. *)
 let load_seeded s seed =
   let conflict = ref 0 in
   List.iter
@@ -1168,7 +1066,7 @@ let load_seeded s seed =
           | v when v = v_true -> ()
           | _ -> enqueue s l cr.cid)
       | _ -> ignore (new_clause s c false true))
-    seed.seed_clauses;
+    (List.sort (fun (a, _) (b, _) -> compare a b) seed.seed_clauses);
   pad_to s seed.seed_first_learned;
   !conflict
 
@@ -1178,40 +1076,10 @@ let load_seeded s seed =
    clauses, so the combined trace checks against the original formula. *)
 let solve_seeded ?(config = default_config) ?trace seed =
   Obs.Span.scope ~cat:"solver" "solve_seeded" @@ fun () ->
-  let s = make_state config trace seed.seed_nvars in
-  s.max_learned <-
-    config.max_learned_factor
-    *. float_of_int (List.length seed.seed_clauses);
-  let seed =
-    {
-      seed with
-      seed_clauses =
-        List.sort
-          (fun (a, _) (b, _) -> compare a b)
-          seed.seed_clauses;
-    }
-  in
-  let initial_conflict = load_seeded s seed in
-  if initial_conflict <> 0 then begin
-    emit_final_conflict s initial_conflict;
-    (Unsat, stats_of s)
-  end
-  else begin
-    let pre = propagate s in
-    if pre <> 0 then begin
-      s.s_conflicts <- s.s_conflicts + 1;
-      if Obs.Ctl.on () then Obs.Metrics.Counter.incr m_conflicts 1;
-      emit_final_conflict s pre;
-      (Unsat, stats_of s)
-    end
-    else begin
-      if config.sanitize then sanitize_state s;
-      match search s config [] with
-      | O_sat a -> (Sat a, stats_of s)
-      | O_unsat_formula -> (Unsat, stats_of s)
-      | O_unsat_assumptions _ -> assert false
-    end
-  end
+  finish
+    (start config trace ~nvars:seed.seed_nvars
+       ~nclauses:(List.length seed.seed_clauses)
+       (fun s -> load_seeded s seed))
 
 type assumed_result =
   | A_sat of Sat.Assignment.t
@@ -1221,7 +1089,6 @@ type assumed_result =
 module Incremental = struct
   type session = {
     state : t;
-    config : config;
     mutable alive : bool;
   }
 
@@ -1229,7 +1096,7 @@ module Incremental = struct
 
   let create ?(config = default_config) f =
     let state, alive = setup config None f in
-    { state; config; alive }
+    { state; alive }
 
   let stats i = stats_of i.state
 
@@ -1301,7 +1168,7 @@ module Incremental = struct
         A_unsat
       end
       else
-        match search s i.config assumptions with
+        match search s assumptions with
         | O_sat a ->
           let a' = Sat.Assignment.copy a in
           backtrack s 0;

@@ -6,7 +6,7 @@ let () =
     (Test_vec.suite @ Test_rng.suite @ Test_lit_clause.suite
    @ Test_cnf_dimacs.suite @ Test_card.suite @ Test_assignment_model.suite @ Test_trace.suite
    @ Test_stream.suite
-   @ Test_heap.suite @ Test_cdcl.suite @ Test_dll_dp.suite
+   @ Test_heap.suite @ Test_cdcl.suite @ Test_enumerate.suite
    @ Test_assumptions.suite @ Test_selector_core.suite @ Test_resolution.suite @ Test_level0.suite @ Test_df.suite
    @ Test_bf.suite @ Test_hybrid.suite @ Test_par.suite
    @ Test_hint.suite @ Test_window.suite
