@@ -139,10 +139,81 @@ let test_zero_variables () =
   | Solver.Cdcl.Sat _, _ -> ()
   | Solver.Cdcl.Unsat, _ -> Alcotest.fail "the empty formula is sat"
 
+(* The search, pinned where the default-config cram pins do not reach:
+   native deletion batches, inprocessing, aggressive deletion, Luby
+   restarts with minimization.  Each line is the trace's digest and the
+   solver's counters; a change meant to leave the search alone must leave
+   every line as it is. *)
+let search_pins =
+  [
+    ("php_6 deletes", "877af37837899ea631ddac1a34d8c51f",
+     "c947 d1130 p11564 l11972 x765 r4");
+    ("php_6 inprocess", "82985c9c53a6af92f452b9b990e9932a",
+     "c1672 d4795 p28791 l21899 x1772 r5");
+    ("php_6 aggressive", "ef62a4195ee0bb139ae43d70bb32a728",
+     "c1365 d1751 p18577 l16766 x1332 r5");
+    ("php_6 luby+min", "0e07c82410b0e4fdc7fa62f0e7802763",
+     "c1063 d1399 p13547 l12248 x869 r6");
+    ("barrel_ring deletes", "3468c64df527e240e33d52437d6f6ae5",
+     "c736 d1024 p57799 l12238 x399 r3");
+    ("barrel_ring inprocess", "48cc9d92aa2cac89bfc75b81de2bdf43",
+     "c1584 d6119 p159345 l47387 x1526 r5");
+    ("barrel_ring aggressive", "f1de9556b133eb144198ee8360743bee",
+     "c1606 d2029 p133158 l23392 x1521 r5");
+    ("barrel_ring luby+min", "7d83335b798a0b68c72e7dcde416d9b5",
+     "c994 d1304 p79362 l16538 x758 r6");
+  ]
+
+let test_search_pins () =
+  let barrel =
+    match Gen.Families.find "barrel_ring" with
+    | Some fam -> fam.generate ()
+    | None -> Alcotest.fail "barrel_ring family missing"
+  in
+  let formulas =
+    [ ("php_6", Gen.Php.unsat ~holes:6); ("barrel_ring", barrel) ]
+  in
+  (* inprocessing with hints on, so its delete batches are pinned too *)
+  let configs =
+    [
+      ("deletes", { cfg with emit_deletes = true });
+      ("inprocess", { cfg with inprocess_interval = 5; emit_deletes = true });
+      ( "aggressive",
+        { cfg with max_learned_factor = 0.05; max_learned_inc = 1.01 } );
+      ( "luby+min",
+        {
+          cfg with
+          restart_sequence = Solver.Cdcl.Luby;
+          enable_minimization = true;
+        } );
+    ]
+  in
+  let got =
+    List.concat_map
+      (fun (fname, f) ->
+        List.map
+          (fun (cname, (config : Solver.Cdcl.config)) ->
+            let version = if config.emit_deletes then 2 else 1 in
+            let _, (st : Solver.Cdcl.stats), trace =
+              Pipeline.Validate.solve_with_trace ~config ~version f
+            in
+            ( fname ^ " " ^ cname,
+              Digest.to_hex (Digest.string trace),
+              Printf.sprintf "c%d d%d p%d l%d x%d r%d" st.conflicts
+                st.decisions st.propagations st.learned_literals
+                st.deleted_clauses st.restarts ))
+          configs)
+      formulas
+  in
+  Alcotest.check
+    Alcotest.(list (triple string string string))
+    "trace digests and counters" search_pins got
+
 let suite =
   [
     ( "cdcl",
       [
+        Alcotest.test_case "search pins" `Quick test_search_pins;
         Alcotest.test_case "trivial cases" `Quick test_trivial_cases;
         Alcotest.test_case "contradicting units" `Quick
           test_contradicting_units;
