@@ -51,9 +51,11 @@ type config = {
   seed : int;
   sanitize : bool;
       (** run the runtime sanitizer at every decision boundary: validates
-          two-watched-literal integrity, trail/level consistency,
-          implication-graph acyclicity, each reason clause holding its
-          implied literal in slot 0, and BCP-fixpoint semantics, raising
+          two-watched-literal integrity (a false watched literal has a
+          true partner assigned no deeper), trail/level consistency, the
+          literal truth table, implication-graph acyclicity, each reason
+          clause holding its implied literal in slot 0, the learned-clause
+          vector, and BCP-fixpoint semantics, raising
           {!Sanitizer_violation} on the first broken invariant.  Debugging
           aid in the ASan spirit — heavy slowdown, no behaviour change.
           Off by default. *)
@@ -85,7 +87,10 @@ exception Sanitizer_violation of string
 
 type stats = {
   decisions : int;
-  propagations : int;        (** literals enqueued by BCP *)
+  propagations : int;
+      (** trail literals [propagate] dequeued: every literal BCP
+          processed, whether implied, a decision, an assumption or a
+          level-0 unit *)
   conflicts : int;
   learned_clauses : int;
   learned_literals : int;

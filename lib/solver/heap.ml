@@ -1,41 +1,39 @@
 type t = {
-  score : int -> float;
-  heap : int Sat.Vec.t;          (* heap.(i) = variable at heap slot i *)
+  score : float array;
+  heap : int array;              (* heap.(i) = variable at heap slot i *)
+  mutable size : int;
   indices : int array;           (* indices.(v) = slot of v, or -1 *)
 }
 
 let create n ~score =
-  { score; heap = Sat.Vec.create ~dummy:0; indices = Array.make (n + 1) (-1) }
+  { score; heap = Array.make n 0; size = 0; indices = Array.make (n + 1) (-1) }
 
-let size h = Sat.Vec.length h.heap
-let is_empty h = size h = 0
+let size h = h.size
+let is_empty h = h.size = 0
 let mem h v = h.indices.(v) >= 0
 
 let swap h i j =
-  let vi = Sat.Vec.get h.heap i and vj = Sat.Vec.get h.heap j in
-  Sat.Vec.set h.heap i vj;
-  Sat.Vec.set h.heap j vi;
+  let vi = h.heap.(i) and vj = h.heap.(j) in
+  h.heap.(i) <- vj;
+  h.heap.(j) <- vi;
   h.indices.(vi) <- j;
   h.indices.(vj) <- i
 
 let rec sift_up h i =
   if i > 0 then begin
     let parent = (i - 1) / 2 in
-    if h.score (Sat.Vec.get h.heap i) > h.score (Sat.Vec.get h.heap parent)
-    then begin
+    if h.score.(h.heap.(i)) > h.score.(h.heap.(parent)) then begin
       swap h i parent;
       sift_up h parent
     end
   end
 
 let rec sift_down h i =
-  let n = size h in
+  let n = h.size in
   let l = (2 * i) + 1 and r = (2 * i) + 2 in
   let best = ref i in
-  if l < n && h.score (Sat.Vec.get h.heap l) > h.score (Sat.Vec.get h.heap !best)
-  then best := l;
-  if r < n && h.score (Sat.Vec.get h.heap r) > h.score (Sat.Vec.get h.heap !best)
-  then best := r;
+  if l < n && h.score.(h.heap.(l)) > h.score.(h.heap.(!best)) then best := l;
+  if r < n && h.score.(h.heap.(r)) > h.score.(h.heap.(!best)) then best := r;
   if !best <> i then begin
     swap h i !best;
     sift_down h !best
@@ -43,17 +41,17 @@ let rec sift_down h i =
 
 let insert h v =
   if not (mem h v) then begin
-    Sat.Vec.push h.heap v;
-    h.indices.(v) <- size h - 1;
-    sift_up h (size h - 1)
+    h.heap.(h.size) <- v;
+    h.indices.(v) <- h.size;
+    h.size <- h.size + 1;
+    sift_up h (h.size - 1)
   end
 
 let pop_max h =
   if is_empty h then raise Not_found;
-  let top = Sat.Vec.get h.heap 0 in
-  let n = size h in
-  swap h 0 (n - 1);
-  ignore (Sat.Vec.pop h.heap);
+  let top = h.heap.(0) in
+  swap h 0 (h.size - 1);
+  h.size <- h.size - 1;
   h.indices.(top) <- -1;
   if not (is_empty h) then sift_down h 0;
   top
@@ -64,8 +62,3 @@ let update h v =
     sift_up h i;
     sift_down h h.indices.(v)
   end
-
-let rebuild h vars =
-  Sat.Vec.iter (fun v -> h.indices.(v) <- -1) h.heap;
-  Sat.Vec.clear h.heap;
-  List.iter (insert h) vars

@@ -2,7 +2,7 @@
 
 let test_pop_order () =
   let score = [| 0.0; 5.0; 1.0; 9.0; 3.0 |] in
-  let h = Solver.Heap.create 4 ~score:(fun v -> score.(v)) in
+  let h = Solver.Heap.create 4 ~score in
   List.iter (Solver.Heap.insert h) [ 1; 2; 3; 4 ];
   Alcotest.check Alcotest.int "max first" 3 (Solver.Heap.pop_max h);
   Alcotest.check Alcotest.int "then 1" 1 (Solver.Heap.pop_max h);
@@ -11,7 +11,7 @@ let test_pop_order () =
   Alcotest.check Alcotest.bool "now empty" true (Solver.Heap.is_empty h)
 
 let test_duplicate_insert () =
-  let h = Solver.Heap.create 3 ~score:(fun v -> float_of_int v) in
+  let h = Solver.Heap.create 3 ~score:(Array.init 4 float_of_int) in
   Solver.Heap.insert h 2;
   Solver.Heap.insert h 2;
   Alcotest.check Alcotest.int "no duplicates" 1 (Solver.Heap.size h);
@@ -20,7 +20,7 @@ let test_duplicate_insert () =
 
 let test_update_after_bump () =
   let score = Array.make 6 0.0 in
-  let h = Solver.Heap.create 5 ~score:(fun v -> score.(v)) in
+  let h = Solver.Heap.create 5 ~score in
   for v = 1 to 5 do
     score.(v) <- float_of_int v;
     Solver.Heap.insert h v
@@ -38,17 +38,9 @@ let test_update_after_bump () =
   Alcotest.check Alcotest.int "then demoted 5" 5 (Solver.Heap.pop_max h)
 
 let test_pop_empty_raises () =
-  let h = Solver.Heap.create 2 ~score:(fun _ -> 0.0) in
+  let h = Solver.Heap.create 2 ~score:(Array.make 3 0.0) in
   Alcotest.check_raises "pop on empty" Not_found (fun () ->
       ignore (Solver.Heap.pop_max h))
-
-let test_rebuild () =
-  let h = Solver.Heap.create 5 ~score:(fun v -> float_of_int v) in
-  List.iter (Solver.Heap.insert h) [ 1; 2; 3 ];
-  Solver.Heap.rebuild h [ 4; 5 ];
-  Alcotest.check Alcotest.int "rebuild size" 2 (Solver.Heap.size h);
-  Alcotest.check Alcotest.bool "old member gone" false (Solver.Heap.mem h 1);
-  Alcotest.check Alcotest.int "new max" 5 (Solver.Heap.pop_max h)
 
 (* heap sort = List.sort on random scores *)
 let prop_heap_sort =
@@ -58,7 +50,7 @@ let prop_heap_sort =
       let rng = Sat.Rng.create seed in
       let n = 1 + Sat.Rng.int rng 40 in
       let score = Array.init (n + 1) (fun _ -> Sat.Rng.float rng) in
-      let h = Solver.Heap.create n ~score:(fun v -> score.(v)) in
+      let h = Solver.Heap.create n ~score in
       for v = 1 to n do
         Solver.Heap.insert h v
       done;
@@ -77,7 +69,6 @@ let suite =
         Alcotest.test_case "duplicate insert" `Quick test_duplicate_insert;
         Alcotest.test_case "update after bump" `Quick test_update_after_bump;
         Alcotest.test_case "pop empty raises" `Quick test_pop_empty_raises;
-        Alcotest.test_case "rebuild" `Quick test_rebuild;
         prop_heap_sort;
       ] );
   ]

@@ -409,12 +409,20 @@ let test_binary_roundtrip_lint_clean () =
 
 let sanitize_case name config =
   Alcotest.test_case name `Quick (fun () ->
+      (* the sanitizer only reads: the trace is byte-identical with it on *)
+      let traced config =
+        Pipeline.Validate.solve_with_trace ~config (Gen.Php.unsat ~holes:4)
+      in
+      let _, _, plain = traced { config with Solver.Cdcl.sanitize = false } in
       let config = { config with Solver.Cdcl.sanitize = true } in
+      let result, _, checked = traced config in
+      Alcotest.check Alcotest.bool "sanitized trace identical" true
+        (plain = checked);
       (* an UNSAT and a SAT instance, both solved under full invariant
          checking at every decision boundary; answers must be unchanged *)
-      (match Solver.Cdcl.solve ~config (Gen.Php.unsat ~holes:4) with
-       | Solver.Cdcl.Unsat, _ -> ()
-       | Solver.Cdcl.Sat _, _ -> Alcotest.fail "php-4 sanitized: wrong answer");
+      (match result with
+       | Solver.Cdcl.Unsat -> ()
+       | Solver.Cdcl.Sat _ -> Alcotest.fail "php-4 sanitized: wrong answer");
       let rng = Sat.Rng.create 7 in
       let sat_f = Gen.Random3sat.generate rng ~nvars:20 ~nclauses:40 in
       match Solver.Cdcl.solve ~config sat_f with
