@@ -21,7 +21,7 @@ let make_ingest ?mem_limit ~count_in_memory formula =
   let l0 = Proof.Level0.create () in
   {
     kernel;
-    uses = Driver.uses ();
+    uses = Driver.uses kernel;
     stream = Proof.Kernel.stream_start kernel ~stream_order:true ~l0 ();
     l0;
     count_in_memory;
@@ -78,6 +78,10 @@ let check ?mem_limit ?format ?io ?(counting = `In_memory) ?first_pass
       drain ());
   (match counting with
    | `In_memory -> ()
+   | `Temp_file _ when g.failed <> None ->
+     (* pass two reports the failure before it reads a count; the
+        counting passes would scale with the largest id a record names *)
+     ()
    | `Temp_file chunk ->
      (* the paper's chunked counting passes re-read the trace from its
         re-readable source; only now is a spooled stream complete *)

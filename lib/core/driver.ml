@@ -88,11 +88,12 @@ let report ?(core = false) ?(jobs = 1) ?(wavefronts = 0)
 (* In temp-file mode [counts] caches only the counters of clauses alive
    in the store; every other total is read back from the file. *)
 type uses = {
-  counts : (int, int) Hashtbl.t;
+  counts : int Proof.Idtab.t;
   mutable file : (string * in_channel) option;
 }
 
-let uses () = { counts = Hashtbl.create 4096; file = None }
+let uses k =
+  { counts = Proof.Idtab.create (Proof.Kernel.id_range k); file = None }
 
 let read_count ic id =
   seek_in ic (4 * id);
@@ -103,14 +104,14 @@ let read_count ic id =
   b0 lor (b1 lsl 8) lor (b2 lsl 16) lor (b3 lsl 24)
 
 let count u id =
-  match Hashtbl.find_opt u.counts id with
-  | Some n -> n
-  | None -> (
+  match Proof.Idtab.find u.counts id with
+  | n -> n
+  | exception Not_found -> (
     match u.file with
     | None -> 0
     | Some (_, ic) -> ( try read_count ic id with End_of_file -> 0))
 
-let add_use u id = Hashtbl.replace u.counts id (1 + count u id)
+let add_use u id = Proof.Idtab.replace u.counts id (1 + count u id)
 
 let count_uses u = function
   | Trace.Event.Learned l -> Array.iter (add_use u) l.sources
@@ -123,10 +124,10 @@ let drop u id =
   match count u id with
   | 0 -> false
   | 1 ->
-    Hashtbl.remove u.counts id;
+    Proof.Idtab.remove u.counts id;
     true
   | n ->
-    Hashtbl.replace u.counts id (n - 1);
+    Proof.Idtab.replace u.counts id (n - 1);
     false
 
 let release u k id = if drop u id then Proof.Kernel.release_id k id
@@ -145,8 +146,16 @@ let count_to_file u ~chunk ?format ?io source =
       | Trace.Event.Final_conflict id -> f id
       | Trace.Event.Header _ | Trace.Event.Delete _ -> ())
   in
+  (* counts are read only for ids a learned record names, as its own id
+     or as a source: a level-0 antecedent or final conflict past them
+     names no clause, and the file need not reach it *)
   let max_id = ref 0 in
-  each_use (fun id -> if id > !max_id then max_id := id);
+  Trace.Reader.rewind cur;
+  Trace.Reader.iter_cursor cur (function
+    | Trace.Event.Learned l ->
+      max_id := Array.fold_left max (max !max_id l.id) l.sources
+    | Trace.Event.Header _ | Trace.Event.Level0 _
+    | Trace.Event.Final_conflict _ | Trace.Event.Delete _ -> ());
   let path = Filename.temp_file "bf_counts" ".bin" in
   u.file <- Some (path, open_in_bin path);
   let oc = open_out_bin path in
@@ -212,7 +221,7 @@ let rebuild k u ~context ?(needed_only = false) ?fetch ?drained
         if n > 0 then begin
           Proof.Kernel.define k l.id h;
           (* temp-file mode: cache the counter while the clause is alive *)
-          if Option.is_some u.file then Hashtbl.replace u.counts l.id n
+          if Option.is_some u.file then Proof.Idtab.replace u.counts l.id n
         end
         else Proof.Clause_db.release (Proof.Kernel.db k) h;
         Array.iter (fun s -> if drop u s then drained s) l.sources;

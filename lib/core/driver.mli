@@ -80,7 +80,9 @@ val report :
 
 type uses
 
-val uses : unit -> uses
+(** [uses k] is an empty count table, its ids bounded by [k]'s
+    {!Proof.Kernel.id_range}. *)
+val uses : Proof.Kernel.t -> uses
 
 (** [count_uses u e] records one use of every clause [e] references:
     resolve sources, level-0 antecedents and the final conflict. *)
@@ -94,7 +96,9 @@ val release : uses -> Proof.Kernel.t -> int -> unit
 
 (** [count_to_file u ~chunk source] counts [source]'s uses into a temp
     file, one streaming pass per [chunk] clause ids (the paper's
-    multi-pass counting), and switches [u] to read totals from it. *)
+    multi-pass counting), and switches [u] to read totals from it.  The
+    file holds 4 bytes per id up to the largest id a learned record
+    names (its own or a source); a larger id counts 0. *)
 val count_to_file :
   uses ->
   chunk:int ->

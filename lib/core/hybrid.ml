@@ -26,7 +26,7 @@ let check ?mem_limit ?format ?io ?first_pass formula source =
   in
   let conf_id = Driver.conflict pass.final_conflict in
   (* uses among the clauses reachable from the conflict *)
-  let uses = Driver.uses () in
+  let uses = Driver.uses kernel in
   ignore (Driver.mark_needed uses ~defs ~antes conf_id);
   (* release the source lists: pass two re-reads them from the stream *)
   Proof.Clause_db.credit (Proof.Kernel.db kernel)

@@ -223,7 +223,7 @@ let check ?mem_limit ?format ?io ?(jobs = 1) ?(window = default_window)
      (the parallel checker, unlike BF, must hold them until their
      wavefront commits), and pass one is the only trace read, so the
      whole check can run off a single-shot stream. *)
-  let uses = Driver.uses () in
+  let uses = Driver.uses kernel in
   let tasks_rev = ref [] in
   let seq = ref 0 in
   let l0 = Proof.Level0.create () in

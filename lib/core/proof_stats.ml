@@ -55,7 +55,7 @@ let analyze formula source =
   let chain_len = Driver.final_chain k ~l0 ~fetch conf_id in
   {
     learned_total = total;
-    learned_needed = Driver.mark_needed (Driver.uses ()) ~defs ~antes conf_id;
+    learned_needed = Driver.mark_needed (Driver.uses k) ~defs ~antes conf_id;
     resolution_steps = Proof.Kernel.resolution_steps k;
     dag_depth =
       Sat.Vec.fold

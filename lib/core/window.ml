@@ -200,7 +200,7 @@ let check ?mem_limit ?format ?io ?first_pass ?on_stats ~window formula
   (* pass one: breadth-first's validating/counting pass *)
   let l0 = Proof.Level0.create () in
   let stream = Proof.Kernel.stream_start kernel ~stream_order:true ~l0 () in
-  let uses = Driver.uses () in
+  let uses = Driver.uses kernel in
   Driver.pass_one ~cat:"window" (Driver.source ?format ?io ?first_pass source)
     (Trace.Source.iter (fun e ->
          Proof.Kernel.stream_feed stream e;

@@ -30,7 +30,7 @@ let clause_overhead = 3
 type t = {
   mutable arena : arena;
   mutable top : int;                    (* bump pointer *)
-  freelist : (int, int list) Hashtbl.t; (* capacity -> free offsets *)
+  mutable freelist : int list array;    (* capacity -> free offsets *)
   limit : int;                          (* simulated budget; max_int: none *)
   mutable mem : int;                    (* simulated words charged *)
   mutable peak_mem : int;
@@ -81,7 +81,7 @@ let create ?mem_limit ?(reserve = default_reserve_words) () =
   {
     arena;
     top = 0;
-    freelist = Hashtbl.create 64;
+    freelist = Array.make 64 [];
     limit;
     mem = 0;
     peak_mem = 0;
@@ -125,12 +125,11 @@ let ensure_capacity db words =
   end
 
 let slot db n =
-  match Hashtbl.find_opt db.freelist n with
-  | Some (h :: rest) ->
-    (if rest = [] then Hashtbl.remove db.freelist n
-     else Hashtbl.replace db.freelist n rest);
+  match if n < Array.length db.freelist then db.freelist.(n) else [] with
+  | h :: rest ->
+    db.freelist.(n) <- rest;
     h
-  | Some [] | None ->
+  | [] ->
     ensure_capacity db (header_words + n);
     let h = db.top in
     db.top <- db.top + header_words + n;
@@ -214,8 +213,15 @@ let release db h =
   if rc <= 0 then begin
     let n = db.arena.{h} in
     unbook db n;
-    let free = Option.value ~default:[] (Hashtbl.find_opt db.freelist n) in
-    Hashtbl.replace db.freelist n (h :: free)
+    (* a slot's capacity is below the bump pointer, so the freelist
+       array is bounded by the arena *)
+    let len = Array.length db.freelist in
+    if n >= len then begin
+      let a = Array.make (max (n + 1) (2 * len)) [] in
+      Array.blit db.freelist 0 a 0 len;
+      db.freelist <- a
+    end;
+    db.freelist.(n) <- h :: db.freelist.(n)
   end
 
 let live_clauses db = db.live

@@ -2,11 +2,11 @@ type t = {
   db : Clause_db.t;
   formula : Sat.Cnf.t;
   num_original : int;
-  handles : (int, Clause_db.handle) Hashtbl.t;  (* one ref owned per entry *)
-  core : (int, unit) Hashtbl.t;                 (* original ids materialised *)
+  ids : Idtab.range;                            (* id tables' dense bound *)
+  handles : Clause_db.handle Idtab.t;           (* one ref owned per entry *)
+  core : unit Idtab.t;                          (* original ids materialised *)
   mutable built_ids : int list;                 (* learned ids chained *)
   mutable built_sorted : int list option;       (* memoised sorted built_ids *)
-  mutable core_sorted : int list option;        (* memoised sorted core ids *)
   mutable built : int;
   mutable steps : int;
   mutable merges : int;
@@ -27,15 +27,19 @@ let m_stream_events =
 
 let create ?mem_limit formula =
   let db = Clause_db.create ?mem_limit () in
+  let num_original = Sat.Cnf.nclauses formula in
+  (* widened by 2 per learned record a stream reads: a solver numbers its
+     learned clauses [num_original + 1 ..] in stream order *)
+  let ids = Idtab.range num_original in
   {
     db;
     formula;
-    num_original = Sat.Cnf.nclauses formula;
-    handles = Hashtbl.create 1024;
-    core = Hashtbl.create 256;
+    num_original;
+    ids;
+    handles = Idtab.create ids;
+    core = Idtab.create ids;
     built_ids = [];
     built_sorted = None;
-    core_sorted = None;
     built = 0;
     steps = 0;
     merges = 0;
@@ -46,30 +50,30 @@ let create ?mem_limit formula =
 let db t = t.db
 let num_original t = t.num_original
 let is_original t id = id >= 1 && id <= t.num_original
+let id_range t = t.ids
 
 (* --- id table ---------------------------------------------------------- *)
 
-let define t id h = Hashtbl.replace t.handles id h
-let defined t id = Hashtbl.mem t.handles id
+let define t id h = Idtab.replace t.handles id h
+let defined t id = Idtab.mem t.handles id
 
 let find t ~context id =
-  match Hashtbl.find_opt t.handles id with
-  | Some h -> h
-  | None ->
+  match Idtab.find t.handles id with
+  | h -> h
+  | exception Not_found ->
     if is_original t id then begin
-      Hashtbl.replace t.core id ();
-      t.core_sorted <- None;
+      Idtab.replace t.core id ();
       let h = Clause_db.alloc t.db (Sat.Cnf.clause t.formula (id - 1)) in
-      Hashtbl.replace t.handles id h;
+      Idtab.replace t.handles id h;
       h
     end
     else Diagnostics.fail (Diagnostics.Unknown_clause { context; id })
 
 let release_id t id =
-  match Hashtbl.find_opt t.handles id with
-  | None -> ()
-  | Some h ->
-    Hashtbl.remove t.handles id;
+  match Idtab.find t.handles id with
+  | exception Not_found -> ()
+  | h ->
+    Idtab.remove t.handles id;
     Clause_db.release t.db h
 
 (* --- resolution -------------------------------------------------------- *)
@@ -175,7 +179,7 @@ let resolve_lits t ~context ~c1_id ~c2_id c1 c2 =
 
 (* [peek t id] is the read-only id lookup: never materialises an original,
    never mutates — the only table access worker domains are allowed. *)
-let peek t id = Hashtbl.find_opt t.handles id
+let peek t id = Idtab.find_opt t.handles id
 
 (* One telemetry update per completed chain: counters for the chain and
    its resolution steps, live gauges for the arena, and a sampler tick. *)
@@ -285,7 +289,7 @@ type stream = {
   s_l0 : Level0.t option;
   s_charge : residency;
   s_accept_hints : bool;
-  seen : (int, unit) Hashtbl.t;
+  seen : unit Idtab.t;  (* learned ids defined so far *)
   mutable saw_header : bool;
   mutable s_total : int;
   mutable s_conf : int option;
@@ -299,7 +303,7 @@ let stream_start t ?(stream_order = true) ?l0 ?(charge = `None)
     s_l0 = l0;
     s_charge = charge;
     s_accept_hints = accept_hints;
-    seen = Hashtbl.create 1024;
+    seen = Idtab.create t.ids;
     saw_header = false;
     s_total = 0;
     s_conf = None;
@@ -329,20 +333,21 @@ let stream_feed st e =
              formula_nvars = Sat.Cnf.nvars t.formula;
              formula_norig = t.num_original })
   | Trace.Event.Learned l ->
+    Idtab.widen t.ids 2;
     if is_original t l.id then
       Diagnostics.fail (Diagnostics.Shadows_original l.id);
-    if Hashtbl.mem st.seen l.id then
+    if Idtab.mem st.seen l.id then
       Diagnostics.fail (Diagnostics.Duplicate_definition l.id);
     if Array.length l.sources = 0 then
       Diagnostics.fail (Diagnostics.Empty_source_list l.id);
     if st.s_stream_order then
       Array.iter
         (fun s ->
-          if not (is_original t s) && not (Hashtbl.mem st.seen s) then
+          if not (is_original t s) && not (Idtab.mem st.seen s) then
             Diagnostics.fail
               (Diagnostics.Forward_reference { id = l.id; source = s }))
         l.sources;
-    Hashtbl.replace st.seen l.id ();
+    Idtab.replace st.seen l.id ();
     st.s_total <- st.s_total + 1
   | Trace.Event.Level0 v -> (
     match st.s_l0 with
@@ -370,7 +375,7 @@ let stream_pass t ?stream_order ?l0 ?charge ?on_event src =
   stream_finish st
 
 type proof = {
-  sources : (int, int array) Hashtbl.t;
+  sources : int array Idtab.t;
   defs : (int * int array) array;
   l0 : Level0.t;
   final_conflict : int option;
@@ -378,14 +383,14 @@ type proof = {
 }
 
 let load t ?(stream_order = false) ?(charge = `None) src =
-  let sources = Hashtbl.create 1024 in
+  let sources = Idtab.create t.ids in
   let defs = ref [] in
   let l0 = Level0.create () in
   let pass =
     stream_pass t ~stream_order ~l0 ~charge
       ~on_event:(function
         | Trace.Event.Learned l ->
-          Hashtbl.replace sources l.id l.sources;
+          Idtab.replace sources l.id l.sources;
           defs := (l.id, l.sources) :: !defs
         | _ -> ())
       src
@@ -410,26 +415,26 @@ let unit_annotation =
 
 type 'a builder = {
   bk : t;
-  bsources : (int, int array) Hashtbl.t;
-  ann : (int, 'a) Hashtbl.t;
+  bsources : int array Idtab.t;
+  ann : 'a Idtab.t;
   spec : 'a annotation;
-  in_progress : (int, unit) Hashtbl.t;
+  in_progress : unit Idtab.t;
 }
 
 let builder t ~sources spec =
   {
     bk = t;
     bsources = sources;
-    ann = Hashtbl.create 1024;
+    ann = Idtab.create t.ids;
     spec;
-    in_progress = Hashtbl.create 64;
+    in_progress = Idtab.create t.ids;
   }
 
 let context_build = "depth-first build"
 
 let materialise_original b id =
   let h = find b.bk ~context:context_build id in
-  Hashtbl.replace b.ann id (b.spec.of_original id (Clause_db.lits b.bk.db h))
+  Idtab.replace b.ann id (b.spec.of_original id (Clause_db.lits b.bk.db h))
 
 (* Figure 3's recursive_build, iteratively with an explicit work stack so
    deep proofs cannot overflow the OCaml call stack. *)
@@ -441,7 +446,7 @@ let build b root =
     | [] -> ()
     | id :: rest ->
       if defined k id then begin
-        Hashtbl.remove b.in_progress id;
+        Idtab.remove b.in_progress id;
         stack := rest
       end
       else if is_original k id then begin
@@ -449,7 +454,7 @@ let build b root =
         stack := rest
       end
       else begin
-        match Hashtbl.find_opt b.bsources id with
+        match Idtab.find_opt b.bsources id with
         | None ->
           Diagnostics.fail
             (Diagnostics.Unknown_clause { context = context_build; id })
@@ -472,12 +477,12 @@ let build b root =
                  never defined (e.g. a 0 source), before any annotation
                  lookup *)
               let h = find k ~context:context_build s in
-              match Hashtbl.find_opt b.ann s with
-              | Some a -> (h, a)
-              | None ->
+              match Idtab.find b.ann s with
+              | a -> (h, a)
+              | exception Not_found ->
                 (* an original materialised outside this builder *)
                 let a = b.spec.of_original s (Clause_db.lits k.db h) in
-                Hashtbl.replace b.ann s a;
+                Idtab.replace b.ann s a;
                 (h, a)
             in
             let h, a =
@@ -486,25 +491,25 @@ let build b root =
                 ~learned_id:id srcs
             in
             define k id h;
-            Hashtbl.replace b.ann id a;
-            Hashtbl.remove b.in_progress id;
+            Idtab.replace b.ann id a;
+            Idtab.remove b.in_progress id;
             stack := rest
           end
           else begin
-            if Hashtbl.mem b.in_progress !missing then
+            if Idtab.mem b.in_progress !missing then
               Diagnostics.fail (Diagnostics.Cyclic_definition !missing);
-            Hashtbl.replace b.in_progress id ();
-            Hashtbl.replace b.in_progress !missing ();
+            Idtab.replace b.in_progress id ();
+            Idtab.replace b.in_progress !missing ();
             stack := !missing :: !stack
           end
       end
   done;
   let h = find b.bk ~context:context_build root in
-  match Hashtbl.find_opt b.ann root with
+  match Idtab.find_opt b.ann root with
   | Some a -> (h, a)
   | None ->
     let a = b.spec.of_original root (Clause_db.lits b.bk.db h) in
-    Hashtbl.replace b.ann root a;
+    Idtab.replace b.ann root a;
     (h, a)
 
 (* --- the empty-clause construction -------------------------------------- *)
@@ -587,11 +592,9 @@ let counters t =
 
 let resolution_steps t = t.steps
 
-(* Both sorted views are memoised: they are re-read per report (and the
-   hybrid re-reads the core for its report too), and an O(n log n) sort
-   per call shows up on large traces.  The caches are invalidated on the
-   two mutation points — {!chain}/{!record_external_chain} for built ids,
-   original materialisation in {!find} for the core. *)
+(* The built list is memoised: it is re-read per report, and an
+   O(n log n) sort per call shows up on large traces.  The cache is
+   invalidated by {!chain} and {!record_external_chain}. *)
 let built_ids t =
   match t.built_sorted with
   | Some ids -> ids
@@ -600,23 +603,14 @@ let built_ids t =
     t.built_sorted <- Some ids;
     ids
 
-let core_ids t =
-  match t.core_sorted with
-  | Some ids -> ids
-  | None ->
-    let ids =
-      List.sort Int.compare
-        (Hashtbl.fold (fun id () acc -> id :: acc) t.core [])
-    in
-    t.core_sorted <- Some ids;
-    ids
+let core_ids t = Idtab.keys t.core
 
 let core_var_count t =
   let seen = Hashtbl.create 64 in
-  Hashtbl.iter
-    (fun id () ->
+  List.iter
+    (fun id ->
       Array.iter
         (fun l -> Hashtbl.replace seen (Sat.Lit.var l) ())
         (Sat.Cnf.clause t.formula (id - 1)))
-    t.core;
+    (core_ids t);
   Hashtbl.length seen

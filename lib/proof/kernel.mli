@@ -36,6 +36,11 @@ val is_original : t -> int -> bool
 
 (** {2 The id → clause table} *)
 
+(** [id_range t] bounds the dense part of every id table of the check
+    ({!Idtab}): [num_original], widened by 2 per learned record the
+    kernel's streams read. *)
+val id_range : t -> Idtab.range
+
 (** [define t id h] binds [id] to [h], transferring one reference to the
     table. *)
 val define : t -> int -> Clause_db.handle -> unit
@@ -188,7 +193,7 @@ val stream_pass :
     definition order — what the depth-first and hybrid checkers keep in
     memory. *)
 type proof = {
-  sources : (int, int array) Hashtbl.t;
+  sources : int array Idtab.t;
   defs : (int * int array) array;  (** stream order *)
   l0 : Level0.t;
   final_conflict : int option;
@@ -218,7 +223,7 @@ type 'a builder
 
 (** [builder t ~sources spec] prepares on-demand reconstruction through
     the resolve-source lists in [sources]. *)
-val builder : t -> sources:(int, int array) Hashtbl.t -> 'a annotation -> 'a builder
+val builder : t -> sources:int array Idtab.t -> 'a annotation -> 'a builder
 
 (** [build b id] reconstructs clause [id] (memoised in the kernel's id
     table) with an explicit work stack, so arbitrarily deep proofs cannot
@@ -270,8 +275,7 @@ val resolution_steps : t -> int
 val built_ids : t -> int list
 
 (** [core_ids t] is the sorted list of original clause ids materialised so
-    far — the unsat core of a completed depth-first or hybrid check.
-    Memoised like {!built_ids}. *)
+    far — the unsat core of a completed depth-first or hybrid check. *)
 val core_ids : t -> int list
 
 (** [core_var_count t] counts distinct variables over the core clauses. *)

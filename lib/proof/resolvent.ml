@@ -1,3 +1,5 @@
+(* Every arena parameter below carries this type: where the element kind
+   is unknown at an access, the read compiles to a C call, not a load. *)
 type arena = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 (* --- the one int sort ---------------------------------------------------- *)
@@ -105,7 +107,7 @@ let merges t = t.merges
 
 (* grow the marks to cover the operand's largest variable, its last
    literal's (operands are sorted) *)
-let reserve t arena off n =
+let reserve t (arena : arena) off n =
   if n > 0 then begin
     let v = arena.{off + n - 1} lsr 1 in
     let cap = Bytes.length t.marks in
@@ -125,7 +127,7 @@ let push t v =
   t.touched.(t.ntouched) <- v;
   t.ntouched <- t.ntouched + 1
 
-let start t arena off n =
+let start t (arena : arena) off n =
   for i = 0 to t.ntouched - 1 do
     Bytes.set t.marks t.touched.(i) '\000'
   done;
@@ -182,7 +184,7 @@ let to_array t =
 
 (* The slow path of a failed step: rebuild the diagnostic the pairwise
    {!Kernel.resolve} gives, the clashing variables ascending. *)
-let clash_failure t ~context ~c1_id ~c2_id arena off n =
+let clash_failure t ~context ~c1_id ~c2_id (arena : arena) off n =
   let c2 = Array.init n (fun i -> arena.{off + i}) in
   let vars =
     Array.fold_left
@@ -200,7 +202,7 @@ let clash_failure t ~context ~c1_id ~c2_id arena off n =
       (Diagnostics.No_clash { context; c1_id; c2_id; c1 = to_array t; c2 })
   | vars -> Diagnostics.fail (Diagnostics.Multiple_clash { context; c1_id; c2_id; vars })
 
-let step t ~context ~c1_id ~c2_id arena off n =
+let step t ~context ~c1_id ~c2_id (arena : arena) off n =
   reserve t arena off n;
   let marks = t.marks in
   (* the clash walk: operand literals whose opposite phase is marked; a

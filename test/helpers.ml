@@ -99,6 +99,24 @@ let events_to_source events =
   List.iter (Trace.Writer.emit w) events;
   Trace.Reader.From_string (Trace.Writer.contents w)
 
+(* Every checking strategy, each counting mode of BF included, by name. *)
+let strategies :
+    (string
+    * (Sat.Cnf.t ->
+      Trace.Reader.source ->
+      (Checker.Report.t, Proof.Diagnostics.failure) result))
+    list =
+  [
+    ("DF", fun f src -> Checker.Df.check f src);
+    ("BF", fun f src -> Checker.Bf.check f src);
+    ( "BF temp-file",
+      fun f src -> Checker.Bf.check ~counting:(`Temp_file 4096) f src );
+    ("Hybrid", fun f src -> Checker.Hybrid.check f src);
+    ("Par j2", fun f src -> Checker.Par.check ~jobs:2 f src);
+    ("Hint", fun f src -> Checker.Hint.check f src);
+    ("Window 7", fun f src -> Checker.Window.check ~window:7 f src);
+  ]
+
 let expect_df_failure f events pred name =
   match Checker.Df.check f (events_to_source events) with
   | Ok _ -> Alcotest.failf "%s: corrupted trace was accepted by DF" name

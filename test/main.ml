@@ -13,7 +13,7 @@ let () =
    @ Test_cross_checker.suite
    @ Test_rup.suite @ Test_lint.suite @ Test_dag.suite
    @ Test_explain.suite
-   @ Test_clause_db.suite
+   @ Test_clause_db.suite @ Test_idtab.suite
    @ Test_proof_stats.suite
    @ Test_interpolant.suite
    @ Test_pipeline.suite @ Test_bmc_engine.suite @ Test_mc_oracle.suite

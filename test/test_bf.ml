@@ -197,6 +197,22 @@ let test_temp_file_counting_rejects () =
   | Ok _ -> Alcotest.fail "temp-file mode accepted a broken trace"
   | Error _ -> ()
 
+(* A failed pass one ends the check: the counting passes, which scale
+   with the largest id a record names, never run. *)
+let test_temp_file_forward_reference_to_huge_id () =
+  let f =
+    Sat.Cnf.of_clauses 1 [ Sat.Clause.of_ints [ 1 ]; Sat.Clause.of_ints [ -1 ] ]
+  in
+  let huge = 1_000_000_000_000 in
+  match
+    Checker.Bf.check ~counting:(`Temp_file 64) f
+      (Helpers.events_to_source
+         [ ev_header 1 2; ev_cl 3 [| 1; huge |]; ev_conf 3 ])
+  with
+  | Ok _ -> Alcotest.fail "accepted a forward reference"
+  | Error (D.Forward_reference r) when r.id = 3 && r.source = huge -> ()
+  | Error d -> Alcotest.failf "unexpected diagnostic: %s" (D.to_string d)
+
 let test_mutations_rejected () =
   let f, events = Helpers.unsat_with_events () in
   let cases =
@@ -278,6 +294,8 @@ let suite =
           test_temp_file_chunk_sizes;
         Alcotest.test_case "temp-file rejects" `Quick
           test_temp_file_counting_rejects;
+        Alcotest.test_case "temp-file forward reference to 10^12" `Quick
+          test_temp_file_forward_reference_to_huge_id;
         Alcotest.test_case "mutations rejected" `Quick test_mutations_rejected;
         Alcotest.test_case "unused bad clause caught" `Quick
           test_bf_detects_unused_bad_clause;

@@ -15,18 +15,114 @@ let subset a b =
   List.iter (fun x -> Hashtbl.replace tbl x ()) b;
   List.for_all (Hashtbl.mem tbl) a
 
-let check_instance ~round f trace =
-  let src = Trace.Reader.From_string trace in
-  let get name check =
-    match check f src with
-    | Ok r -> r
-    | Error d ->
-      Alcotest.failf "round %d: %s rejected a valid trace: %s" round name
-        (Proof.Diagnostics.to_string d)
+(* The matrix's strategies, each on the trace it reads: the plain one, or
+   (Hint/v2) its hinted rewrite. *)
+let matrix =
+  [
+    ("DF", `Plain, fun f src -> Checker.Df.check f src);
+    ("BF", `Plain, fun f src -> Checker.Bf.check f src);
+    ("Hybrid", `Plain, fun f src -> Checker.Hybrid.check f src);
+  ]
+  @ List.map
+      (fun jobs ->
+        (Printf.sprintf "Par j%d" jobs, `Plain,
+         fun f src -> Checker.Par.check ~jobs f src))
+      [ 1; 2; 4 ]
+  @ [
+      ("Hint", `Plain, fun f src -> Checker.Hint.check f src);
+      ("Hint/v2", `Hinted, fun f src -> Checker.Hint.check f src);
+    ]
+  @ List.map
+      (fun window ->
+        (Printf.sprintf "Window %d" window, `Plain,
+         fun f src -> Checker.Window.check ~window f src))
+      [ 1; 7; max_int ]
+
+(* [renumber ~norig ~version map src] rewrites every learned id through
+   [map] in each record that names one: learned ids, sources, level-0
+   antecedents, the final conflict and delete hints. *)
+let renumber ~norig ~version map src =
+  let m id = if id > norig then map id else id in
+  let w = Trace.Writer.create ~version Trace.Writer.Ascii in
+  List.iter
+    (fun e ->
+      Trace.Writer.emit w
+        (match e with
+         | Trace.Event.Learned l ->
+           Trace.Event.Learned { id = m l.id; sources = Array.map m l.sources }
+         | Trace.Event.Level0 v -> Trace.Event.Level0 { v with ante = m v.ante }
+         | Trace.Event.Final_conflict id -> Trace.Event.Final_conflict (m id)
+         | Trace.Event.Delete ids -> Trace.Event.Delete (Array.map m ids)
+         | Trace.Event.Header _ -> e))
+    (Trace.Reader.to_list src);
+  Trace.Reader.From_string (Trace.Writer.contents w)
+
+(* Every strategy's report, by name, in [matrix] order; [rejected] reports
+   a rejection. *)
+let run_matrix f ~plain ~hinted ~rejected =
+  List.map
+    (fun (name, trace, check) ->
+      let src = match trace with `Plain -> plain | `Hinted -> hinted in
+      match check f src with Ok r -> (name, r) | Error d -> rejected name d)
+    matrix
+
+(* Ids far past the dense tables' range, and ids spread 1000 apart,
+   change nothing a strategy reports once its built ids are mapped
+   back. *)
+let renumbered_agreement ~round f ~plain ~hinted reports =
+  let norig = Sat.Cnf.nclauses f in
+  let maps =
+    [
+      ("id + 2^40", (fun id -> id + (1 lsl 40)), fun id -> id - (1 lsl 40));
+      ( "norig + 1000 (id - norig)",
+        (fun id -> norig + (1000 * (id - norig))),
+        fun id -> norig + ((id - norig) / 1000) );
+    ]
   in
-  let df = get "DF" (fun f src -> Checker.Df.check f src) in
-  let bf = get "BF" (fun f src -> Checker.Bf.check f src) in
-  let hy = get "Hybrid" (fun f src -> Checker.Hybrid.check f src) in
+  List.iter
+    (fun (mname, map, unmap) ->
+      let renumbered =
+        run_matrix f
+          ~plain:(renumber ~norig ~version:1 map plain)
+          ~hinted:(renumber ~norig ~version:2 map hinted)
+          ~rejected:(fun name d ->
+            Alcotest.failf "round %d: %s on ids %s rejected: %s" round name
+              mname (Proof.Diagnostics.to_string d))
+      in
+      List.iter2
+        (fun (name, r) (_, r') ->
+          let mapped_back =
+            {
+              r' with
+              Checker.Report.learned_built_ids =
+                List.sort Int.compare
+                  (List.map unmap r'.Checker.Report.learned_built_ids);
+            }
+          in
+          Alcotest.check Alcotest.string
+            (Printf.sprintf "round %d: %s on ids %s" round name mname)
+            (Checker.Report.to_json r)
+            (Checker.Report.to_json mapped_back))
+        reports renumbered)
+    maps
+
+let check_instance ~round ~renumbered f trace =
+  let src = Trace.Reader.From_string trace in
+  let hinted =
+    let w = Trace.Writer.create ~version:2 Trace.Writer.Ascii in
+    match Analysis.Dag.hint src w with
+    | Ok _ -> Trace.Reader.From_string (Trace.Writer.contents w)
+    | Error e ->
+      Alcotest.failf "round %d: hint converter refused: %s" round
+        e.Analysis.Dag.message
+  in
+  let reports =
+    run_matrix f ~plain:src ~hinted ~rejected:(fun name d ->
+        Alcotest.failf "round %d: %s rejected a valid trace: %s" round name
+          (Proof.Diagnostics.to_string d))
+  in
+  let get name = List.assoc name reports in
+  let df = get "DF" and bf = get "BF" and hy = get "Hybrid" in
   let ck name = Printf.sprintf "round %d: %s" round name in
   (* the trace is one fixed artefact: every checker sees the same count *)
   Alcotest.check Alcotest.int (ck "df/bf learned") df.Checker.Report.total_learned
@@ -66,9 +162,7 @@ let check_instance ~round f trace =
      verdict, counters, built set and (empty) core at every job count *)
   List.iter
     (fun jobs ->
-      let pr = get (Printf.sprintf "Par j%d" jobs)
-          (fun f src -> Checker.Par.check ~jobs f src)
-      in
+      let pr = get (Printf.sprintf "Par j%d" jobs) in
       let pk name = ck (Printf.sprintf "par j%d %s" jobs name) in
       Alcotest.check Alcotest.int (pk "learned") bf.total_learned
         pr.Checker.Report.total_learned;
@@ -100,27 +194,17 @@ let check_instance ~round f trace =
     Alcotest.check (Alcotest.list Alcotest.int) (rk "core") []
       r.Checker.Report.core_original_ids
   in
-  bf_identical "hint" (get "Hint" (fun f src -> Checker.Hint.check f src));
+  bf_identical "hint" (get "Hint");
   (* ...and the hinted rewrite of the same trace reaches the same report *)
-  let hinted =
-    let w = Trace.Writer.create ~version:2 Trace.Writer.Ascii in
-    match Analysis.Dag.hint src w with
-    | Ok _ -> Trace.Reader.From_string (Trace.Writer.contents w)
-    | Error e ->
-      Alcotest.failf "round %d: hint converter refused: %s" round
-        e.Analysis.Dag.message
-  in
-  bf_identical "hint/v2"
-    (get "Hint/v2" (fun f _ -> Checker.Hint.check f hinted));
+  bf_identical "hint/v2" (get "Hint/v2");
   (* the window scheduler is invisible at every window size *)
   List.iter
     (fun window ->
       bf_identical
         (Printf.sprintf "window %d" window)
-        (get
-           (Printf.sprintf "Window %d" window)
-           (fun f src -> Checker.Window.check ~window f src)))
-    [ 1; 7; max_int ]
+        (get (Printf.sprintf "Window %d" window)))
+    [ 1; 7; max_int ];
+  if renumbered then renumbered_agreement ~round f ~plain:src ~hinted reports
 
 let fuzzed_agreement ~pre ~seed ~target () =
   (* the matrix runs with the store's lifetime guards armed: any checker
@@ -147,7 +231,8 @@ let fuzzed_agreement ~pre ~seed ~target () =
     | Solver.Cdcl.Sat _ -> ()
     | Solver.Cdcl.Unsat ->
       incr unsat_seen;
-      check_instance ~round:!round f trace
+      (* every fifth instance is re-checked on renumbered ids *)
+      check_instance ~round:!round ~renumbered:(!unsat_seen mod 5 = 0) f trace
   done;
   if !unsat_seen < target then
     Alcotest.failf "only %d unsat instances in %d rounds" !unsat_seen !round

@@ -80,6 +80,53 @@ let test_no_cross_acceptance () =
   | Ok _ -> Alcotest.fail "Hybrid accepted a proof for a satisfiable formula"
   | Error _ -> ()
 
+(* Ids near 10^12 must cost nothing by their value: no table may be
+   sized by them.  The first trace is a valid proof whose level-0 record
+   names an antecedent no record defines (the final chain never needs
+   it); the second cites a source far past every definition.  Every
+   strategy returns the verdict it returns for small ids, with no
+   exception. *)
+let test_hostile_ids () =
+  let f =
+    Sat.Cnf.of_clauses 1 [ Sat.Clause.of_ints [ 1 ]; Sat.Clause.of_ints [ -1 ] ]
+  in
+  let huge = 1_000_000_000_000 in
+  let cases =
+    [
+      ( "level-0 antecedent 10^12",
+        "t 1 2\nVAR 1 1 1000000000000\nCL 3 1 2\nCONF 3\n",
+        fun _ -> function
+          | Ok (r : Checker.Report.t) ->
+            r.clauses_built = 1 && r.resolution_steps = 1
+          | Error _ -> false );
+      ( "forward reference to 10^12",
+        "t 1 2\nCL 3 1 1000000000000\nCONF 3\n",
+        fun strategy -> function
+          (* depth-first has no stream order: the id is just undefined *)
+          | Error (Proof.Diagnostics.Unknown_clause u) ->
+            strategy = "DF" && u.id = huge
+          | Error (Proof.Diagnostics.Forward_reference r) ->
+            strategy <> "DF" && r.id = 3 && r.source = huge
+          | Ok _ | Error _ -> false );
+    ]
+  in
+  List.iter
+    (fun (case, trace, expected) ->
+      List.iter
+        (fun (strategy, check) ->
+          match check f (Trace.Reader.From_string trace) with
+          | exception e ->
+            Alcotest.failf "%s, %s: raised %s" case strategy
+              (Printexc.to_string e)
+          | verdict ->
+            if not (expected strategy verdict) then
+              Alcotest.failf "%s, %s: %s" case strategy
+                (match verdict with
+                 | Ok _ -> "accepted"
+                 | Error d -> Proof.Diagnostics.to_string d))
+        Helpers.strategies)
+    cases
+
 (* DIMACS parser: corrupted documents raise Parse_error, never crash *)
 let test_fuzz_dimacs () =
   let doc = Sat.Dimacs.to_string (Gen.Php.unsat ~holes:4) in
@@ -130,5 +177,6 @@ let suite =
           test_no_cross_acceptance;
         Alcotest.test_case "dimacs bytes" `Quick test_fuzz_dimacs;
         Alcotest.test_case "drup text" `Quick test_fuzz_drup_text;
+        Alcotest.test_case "hostile ids" `Quick test_hostile_ids;
       ] );
   ]
