@@ -70,6 +70,7 @@ let m_conflicts = Obs.Metrics.counter Obs.Metrics.global "solver.conflicts"
 let m_decisions = Obs.Metrics.gauge Obs.Metrics.global "solver.decisions"
 let m_propagations = Obs.Metrics.gauge Obs.Metrics.global "solver.propagations"
 let m_learned_alive = Obs.Metrics.gauge Obs.Metrics.global "solver.learned_alive"
+let m_arena_words = Obs.Metrics.gauge Obs.Metrics.global "solver.arena_words"
 let m_learned_lits =
   Obs.Metrics.histogram Obs.Metrics.global "solver.learned_clause_lits"
 
@@ -80,20 +81,16 @@ let v_false = '\000'
 let v_true = '\001'
 let v_unassigned = '\002'
 
-type clause_rec = {
-  cid : int;
-  mutable lits : int array;      (* slots 0 and 1 are the watched literals *)
-  learned : bool;
-  mutable activity : float;
-  mutable deleted : bool;
-  attached : bool;               (* unit and tautological clauses are not watched *)
-}
-
-(* Fills the slots past the live length of every watch list and of the
-   learned vector, so the GC keeps no deleted clause alive. *)
-let dead =
-  { cid = 0; lits = [||]; learned = false; activity = 0.0; deleted = true;
-    attached = false }
+(* Every clause lives in one flat [int array], the arena: a two-word
+   header [cid; size] followed by its [size] literals, of which the first
+   two are the watched ones.  Clauses sit in cid order, and a watch entry
+   is a header offset, so propagation stores no pointer (no write
+   barrier) and reaches a literal in one load from the entry.  What a
+   clause carries besides its literals is kept per cid: its header
+   offset, a flag byte and its activity. *)
+let f_learned = 1
+let f_deleted = 2
+let f_attached = 4              (* unit and tautological clauses are not watched *)
 
 (* The dev profile compiles every module with -opaque, so nothing from
    another module is inlined here: the hot loops (propagate, enqueue,
@@ -104,8 +101,14 @@ type t = {
   cfg : config;
   tracer : Trace.Sink.t option;
   nvars : int;
-  clauses : clause_rec Sat.Vec.t;           (* index cid-1 *)
-  watches : clause_rec array array;         (* per literal: watching clauses *)
+  mutable arena : int array;                (* the clauses, in cid order *)
+  mutable top : int;                        (* arena words in use *)
+  mutable wasted : int;                     (* words of deleted clauses below [top] *)
+  mutable n_clauses : int;                  (* highest cid *)
+  mutable offs : int array;                 (* per cid: header offset, -1 once compacted away *)
+  mutable flags : Bytes.t;                  (* per cid: f_learned, f_deleted, f_attached *)
+  mutable cact : float array;               (* per cid: clause activity *)
+  watches : int array array;                (* per literal: headers of watching clauses *)
   wlen : int array;                         (* per literal: live watch count *)
   vals : Bytes.t;                           (* per literal: v_false/true/unassigned *)
   level : int array;                        (* per var *)
@@ -123,7 +126,7 @@ type t = {
   phase : Bytes.t;                          (* per var: saved polarity *)
   seen : Bytes.t;                           (* per var: conflict-analysis mark *)
   lbuf : int array;                         (* analyze's learned-clause buffer *)
-  mutable learnts : clause_rec array;       (* live learned clauses, ascending cid *)
+  mutable learnts : int array;              (* live learned cids, ascending *)
   mutable n_learnts : int;
   dirty : int array;                        (* literals whose watch list holds a deleted clause *)
   mutable n_dirty : int;
@@ -147,7 +150,7 @@ let var_value s v = Bytes.get s.vals (v lsl 1)
 
 let decision_level s = s.n_levels
 
-let clause_of s cid = Sat.Vec.get s.clauses (cid - 1)
+let has s cid f = Char.code (Bytes.get s.flags cid) land f <> 0
 
 let emit s e =
   match s.tracer with
@@ -182,11 +185,11 @@ let new_level s =
 
 (* --- two-watched-literal propagation ---------------------------------- *)
 
-let watch s l c =
+let watch s l h =
   let n = s.wlen.(l) in
   if n = Array.length s.watches.(l) then
-    s.watches.(l) <- grow s.watches.(l) n dead;
-  s.watches.(l).(n) <- c;
+    s.watches.(l) <- grow s.watches.(l) n 0;
+  s.watches.(l).(n) <- h;
   s.wlen.(l) <- n + 1
 
 (* Propagate all pending assignments; returns the cid of a conflicting
@@ -195,9 +198,17 @@ let watch s l c =
    non-false literal (MiniSat-style in-place watch repair).  A clause
    that becomes unit is the reason of its slot-0 literal, and that slot
    stays put while the literal is true: see [locked].  Watch lists hold
-   no deleted clause here: deletions are purged before search resumes. *)
+   no deleted clause here: deletions are purged before search resumes.
+   No clause is added while propagating, so the arena stays put.
+
+   The watch loop reads without bounds checks: the first [wlen] entries
+   of a watch list are headers of live clauses below [top], and every
+   literal in the arena was range-checked when its clause came in
+   ([Sat.Cnf], [Incremental.add_clause]), so it indexes [vals].  The
+   sanitizer checks the headers. *)
 let propagate s =
   let vals = s.vals in
+  let arena = s.arena in
   let conflict = ref 0 in
   while !conflict = 0 && s.qhead < s.trail_len do
     let l = s.trail.(s.qhead) in
@@ -209,54 +220,60 @@ let propagate s =
     let j = ref 0 in
     let i = ref 0 in
     while !i < n do
-      let c = ws.(!i) in
+      let h = Array.unsafe_get ws !i in
       incr i;
-      let lits = c.lits in
+      let c0 = h + 2 in
       (* normalise: watched false literal at slot 1 *)
-      if lits.(0) = fl then begin
-        lits.(0) <- lits.(1);
-        lits.(1) <- fl
-      end;
-      let first = lits.(0) in
-      if Bytes.get vals first = v_true then begin
-        (* clause satisfied; keep the watch.  A slot nothing has moved
-           into yet already holds [c]: skip the store and its write
-           barrier. *)
-        if !j + 1 < !i then ws.(!j) <- c;
+      let first =
+        let a0 = Array.unsafe_get arena c0 in
+        if a0 <> fl then a0
+        else begin
+          let a1 = Array.unsafe_get arena (c0 + 1) in
+          Array.unsafe_set arena c0 a1;
+          Array.unsafe_set arena (c0 + 1) fl;
+          a1
+        end
+      in
+      if Bytes.unsafe_get vals first = v_true then begin
+        (* clause satisfied; keep the watch *)
+        Array.unsafe_set ws !j h;
         incr j
       end
       else begin
         (* search a replacement watch *)
-        let len = Array.length lits in
-        let k = ref 2 in
-        while !k < len && Bytes.get vals lits.(!k) = v_false do incr k done;
-        if !k < len then begin
-          lits.(1) <- lits.(!k);
-          lits.(!k) <- fl;
-          watch s lits.(1) c
+        let stop = c0 + Array.unsafe_get arena (h + 1) in
+        let k = ref (c0 + 2) in
+        while
+          !k < stop
+          && Bytes.unsafe_get vals (Array.unsafe_get arena !k) = v_false
+        do
+          incr k
+        done;
+        if !k < stop then begin
+          let lk = Array.unsafe_get arena !k in
+          Array.unsafe_set arena (c0 + 1) lk;
+          Array.unsafe_set arena !k fl;
+          watch s lk h
           (* watch moved: do not keep in ws *)
         end
         else begin
           (* unit or conflicting *)
-          ws.(!j) <- c;
+          Array.unsafe_set ws !j h;
           incr j;
-          if Bytes.get vals first = v_false then begin
-            conflict := c.cid;
+          if Bytes.unsafe_get vals first = v_false then begin
+            conflict := Array.unsafe_get arena h;
             (* keep the remaining watches intact *)
             while !i < n do
-              ws.(!j) <- ws.(!i);
+              Array.unsafe_set ws !j (Array.unsafe_get ws !i);
               incr i;
               incr j
             done
           end
-          else enqueue s first c.cid
+          else enqueue s first (Array.unsafe_get arena h)
         end
       end
     done;
-    if !j < n then begin
-      Array.fill ws !j (n - !j) dead;
-      s.wlen.(fl) <- !j
-    end
+    s.wlen.(fl) <- !j
   done;
   if !conflict <> 0 then s.qhead <- s.trail_len;
   !conflict
@@ -298,12 +315,13 @@ let var_bump s v =
 
 let var_decay s = s.var_inc <- s.var_inc /. s.cfg.var_decay
 
-let cla_bump s (c : clause_rec) =
-  c.activity <- c.activity +. s.cla_inc;
-  if c.activity > 1e20 then begin
+let cla_bump s cid =
+  let a = s.cact.(cid) +. s.cla_inc in
+  s.cact.(cid) <- a;
+  if a > 1e20 then begin
     for i = 0 to s.n_learnts - 1 do
-      let cr = s.learnts.(i) in
-      cr.activity <- cr.activity *. 1e-20
+      let c = s.learnts.(i) in
+      s.cact.(c) <- s.cact.(c) *. 1e-20
     done;
     s.cla_inc <- s.cla_inc *. 1e-20
   end
@@ -320,22 +338,25 @@ let removable s q =
   let r = s.reason.(v) in
   r <> 0
   &&
-  let lits = (clause_of s r).lits in
-  let ok = ref true and k = ref 0 in
-  while !ok && !k < Array.length lits do
-    let u = lits.(!k) lsr 1 in
+  let h = s.offs.(r) in
+  let stop = h + 2 + s.arena.(h + 1) in
+  let ok = ref true and k = ref (h + 2) in
+  while !ok && !k < stop do
+    let u = s.arena.(!k) lsr 1 in
     if not (u = v || s.level.(u) = 0 || Bytes.get s.seen u = '\001') then
       ok := false;
     incr k
   done;
   !ok
 
-(* Returns (learned literal array with the UIP at slot 0, asserting level,
-   resolve sources in resolution order).  The source list is what §3.1's
-   first solver modification records: the conflicting clause followed by
-   every antecedent resolved against.  The clause is built in [lbuf]:
-   distinct variables, so at most [nvars] literals. *)
+(* Returns (learned clause length, asserting level, resolve sources in
+   resolution order); the clause is the first [length] slots of [lbuf],
+   the UIP at slot 0.  The source list is what §3.1's first solver
+   modification records: the conflicting clause followed by every
+   antecedent resolved against.  Distinct variables, so at most [nvars]
+   literals. *)
 let analyze s confl_cid =
+  let arena = s.arena in
   let cur_level = s.n_levels in
   let sources = ref [ confl_cid ] in
   let lbuf = s.lbuf in
@@ -346,11 +367,11 @@ let analyze s confl_cid =
   let confl = ref confl_cid in
   let continue = ref true in
   while !continue do
-    let c = clause_of s !confl in
-    if c.learned then cla_bump s c;
-    let lits = c.lits in
-    for k = 0 to Array.length lits - 1 do
-      let q = lits.(k) in
+    let c = !confl in
+    if has s c f_learned then cla_bump s c;
+    let h = s.offs.(c) in
+    for k = h + 2 to h + 1 + arena.(h + 1) do
+      let q = arena.(k) in
       if q <> !p then begin
         let v = q lsr 1 in
         if Bytes.get s.seen v = '\000' && s.level.(v) > 0 then begin
@@ -433,25 +454,54 @@ let analyze s confl_cid =
   for i = 0 to !n - 1 do
     Bytes.set s.seen (lbuf.(i) lsr 1) '\000'
   done;
-  (Array.sub lbuf 0 !n, !blevel, List.rev !sources)
+  (!n, !blevel, List.rev !sources)
 
 (* --- learned clause management ----------------------------------------- *)
 
-let new_clause s lits learned attached =
-  let cid = Sat.Vec.length s.clauses + 1 in
-  let c = { cid; lits; learned; activity = 0.0; deleted = false; attached } in
-  Sat.Vec.push s.clauses c;
+(* The next cid, with a slot in every per-cid table: no header offset
+   and zero activity; the caller sets its flags *)
+let next_cid s =
+  let cid = s.n_clauses + 1 in
+  if cid = Array.length s.offs then begin
+    s.offs <- grow s.offs cid (-1);
+    s.cact <- grow s.cact cid 0.0;
+    s.flags <- Bytes.extend s.flags 0 (cid + 4)
+  end;
+  s.n_clauses <- cid;
+  cid
+
+(* Append the first [n] literals of [src] as the next clause; returns its
+   cid.  The arena doubles only when the clause does not fit: [purge]
+   compacts it whenever deleted clauses hold a fifth of the words in
+   use. *)
+let new_clause s src n learned attached =
+  let cid = next_cid s in
+  let h = s.top in
+  if h + 2 + n > Array.length s.arena then begin
+    let a = Array.make (max (2 * Array.length s.arena) (h + 2 + n)) 0 in
+    Array.blit s.arena 0 a 0 h;
+    s.arena <- a
+  end;
+  s.arena.(h) <- cid;
+  s.arena.(h + 1) <- n;
+  Array.blit src 0 s.arena (h + 2) n;
+  s.top <- h + 2 + n;
+  s.offs.(cid) <- h;
+  Bytes.set s.flags cid
+    (Char.chr
+       ((if learned then f_learned else 0)
+       lor if attached then f_attached else 0));
   if learned then begin
     if s.n_learnts = Array.length s.learnts then
-      s.learnts <- grow s.learnts s.n_learnts dead;
-    s.learnts.(s.n_learnts) <- c;
+      s.learnts <- grow s.learnts s.n_learnts 0;
+    s.learnts.(s.n_learnts) <- cid;
     s.n_learnts <- s.n_learnts + 1
   end;
-  if attached && Array.length lits >= 2 then begin
-    watch s lits.(0) c;
-    watch s lits.(1) c
+  if attached && n >= 2 then begin
+    watch s src.(0) h;
+    watch s src.(1) h
   end;
-  c
+  cid
 
 let mark_dirty s l =
   if Bytes.get s.dirty_mark l = '\000' then begin
@@ -461,52 +511,92 @@ let mark_dirty s l =
   end
 
 (* Deleting only marks the clause; [purge] drops it from its two watch
-   lists and from [learnts] once the batch is done. *)
-let delete_clause s c =
-  if not c.deleted then begin
-    c.deleted <- true;
+   lists and from [learnts] once the batch is done, and its words stay in
+   the arena until a compaction. *)
+let delete_clause s cid =
+  if not (has s cid f_deleted) then begin
+    Bytes.set s.flags cid
+      (Char.chr (Char.code (Bytes.get s.flags cid) lor f_deleted));
     s.s_deleted <- s.s_deleted + 1;
-    if c.attached && Array.length c.lits >= 2 then begin
-      mark_dirty s c.lits.(0);
-      mark_dirty s c.lits.(1)
+    let h = s.offs.(cid) in
+    let n = s.arena.(h + 1) in
+    s.wasted <- s.wasted + 2 + n;
+    if has s cid f_attached && n >= 2 then begin
+      mark_dirty s s.arena.(h + 2);
+      mark_dirty s s.arena.(h + 3)
     end
   end
 
-(* Drop the deleted records from the first [n] slots of [a], keeping the
-   live ones in order; returns how many are live. *)
-let compact a n =
+(* Drop the deleted clauses from the first [n] slots of [a] (header
+   offsets if [headers], else cids), keeping the live ones in order;
+   returns how many are live. *)
+let drop_deleted s a n ~headers =
   let j = ref 0 in
   for i = 0 to n - 1 do
-    let c = a.(i) in
-    if not c.deleted then begin
-      a.(!j) <- c;
+    let x = a.(i) in
+    if not (has s (if headers then s.arena.(x) else x) f_deleted) then begin
+      a.(!j) <- x;
       incr j
     end
   done;
-  Array.fill a !j (n - !j) dead;
   !j
+
+(* Slide the live clauses down over the deleted ones, in place.  Arena
+   order is cid order, so every clause moves to a lower offset and never
+   over a header not yet read.  Each watch entry is first remapped
+   through the cid in its old header, so [purge] must have dropped every
+   deleted clause from the watch lists. *)
+let compact_arena s =
+  let a = s.arena in
+  let h = ref 0 and dst = ref 0 in
+  while !h < s.top do
+    let cid = a.(!h) in
+    if has s cid f_deleted then s.offs.(cid) <- -1
+    else begin
+      s.offs.(cid) <- !dst;
+      dst := !dst + 2 + a.(!h + 1)
+    end;
+    h := !h + 2 + a.(!h + 1)
+  done;
+  Array.iteri
+    (fun l ws ->
+      for i = 0 to s.wlen.(l) - 1 do
+        ws.(i) <- s.offs.(a.(ws.(i)))
+      done)
+    s.watches;
+  h := 0;
+  while !h < s.top do
+    let len = 2 + a.(!h + 1) in
+    let target = s.offs.(a.(!h)) in
+    if target >= 0 then Array.blit a !h a target len;
+    h := !h + len
+  done;
+  s.top <- !dst;
+  s.wasted <- 0
 
 (* Filter every watch list a deletion touched, once, and the learned
    vector.  Live entries keep their relative order, so propagation visits
    clauses exactly as if each deleted clause had been unwatched on its
-   own. *)
+   own.  Once the deleted clauses hold more than a fifth of the words in
+   use, those words are reclaimed. *)
 let purge s =
   for t = 0 to s.n_dirty - 1 do
     let l = s.dirty.(t) in
     Bytes.set s.dirty_mark l '\000';
-    s.wlen.(l) <- compact s.watches.(l) s.wlen.(l)
+    s.wlen.(l) <- drop_deleted s s.watches.(l) s.wlen.(l) ~headers:true
   done;
   s.n_dirty <- 0;
-  s.n_learnts <- compact s.learnts s.n_learnts
+  s.n_learnts <- drop_deleted s s.learnts s.n_learnts ~headers:false;
+  if 5 * s.wasted > s.top then compact_arena s
 
-(* Is [c] the antecedent of an assigned variable?  Every reason clause
-   holds its implied literal in slot 0 — propagation, learning and the
-   unit loaders all enqueue [lits.(0)], and propagation never moves a
-   true slot-0 literal — so slot 0 is the only place to look.  [c] has at
-   least one literal. *)
-let locked s c =
-  let v = c.lits.(0) lsr 1 in
-  var_value s v <> v_unassigned && s.reason.(v) = c.cid
+(* Is clause [cid] the antecedent of an assigned variable?  Every reason
+   clause holds its implied literal in slot 0 — propagation, learning and
+   the unit loaders all enqueue slot 0, and propagation never moves a
+   true slot-0 literal — so slot 0 is the only place to look.  The clause
+   has at least one literal. *)
+let locked s cid =
+  let v = s.arena.(s.offs.(cid) + 2) lsr 1 in
+  var_value s v <> v_unassigned && s.reason.(v) = cid
 
 (* Remove low-activity learned clauses.  Clauses that are the antecedent of
    a currently assigned variable are kept — the paper's §2.1 requirement —
@@ -517,11 +607,11 @@ let reduce_db s =
   let candidates = ref [] in
   for i = 0 to s.n_learnts - 1 do
     let c = s.learnts.(i) in
-    if Array.length c.lits > 2 && not (locked s c) then
+    if s.arena.(s.offs.(c) + 1) > 2 && not (locked s c) then
       candidates := c :: !candidates
   done;
   let arr = Array.of_list !candidates in
-  Array.sort (fun (a : clause_rec) b -> Float.compare a.activity b.activity) arr;
+  Array.sort (fun a b -> Float.compare s.cact.(a) s.cact.(b)) arr;
   let to_delete = Array.length arr / 2 in
   for i = 0 to to_delete - 1 do
     delete_clause s arr.(i)
@@ -534,7 +624,7 @@ let reduce_db s =
      conflict — and locked clauses (reasons on the trail, level 0
      included) are never candidates. *)
   if s.cfg.emit_deletes && to_delete > 0 && s.tracer <> None then begin
-    let ids = Array.init to_delete (fun i -> arr.(i).cid) in
+    let ids = Array.sub arr 0 to_delete in
     Array.sort compare ids;
     emit s (Trace.Event.Delete ids)
   end;
@@ -586,12 +676,14 @@ let inprocess s =
     (* originals are only safe to hint once a chain has referenced them:
        a satisfied original was possibly never materialised by the
        checker, so only learned clauses are hinted on deletion *)
-    if s.cfg.emit_deletes && s.tracer <> None then hints := c.cid :: !hints
+    if s.cfg.emit_deletes && s.tracer <> None then hints := c :: !hints
   in
-  let n = Sat.Vec.length s.clauses in
-  for i = 0 to n - 1 do
-    let c = Sat.Vec.get s.clauses i in
-    if c.attached && not c.deleted && not (locked s c) then begin
+  for c = 1 to s.n_clauses do
+    if has s c f_attached && (not (has s c f_deleted)) && not (locked s c)
+    then begin
+      let h = s.offs.(c) in
+      let lits = Array.sub s.arena (h + 2) s.arena.(h + 1) in
+      let learned = has s c f_learned in
       let n_true = ref 0 and false_lits = ref [] in
       Array.iter
         (fun l ->
@@ -599,16 +691,16 @@ let inprocess s =
           | v when v = v_true -> incr n_true
           | v when v = v_false -> false_lits := l :: !false_lits
           | _ -> ())
-        c.lits;
+        lits;
       if !n_true > 0 then begin
         delete_clause s c;
-        if c.learned then hint c
+        if learned then hint c
       end
       else if !false_lits <> [] then begin
         let keep =
           Array.of_list
             (List.filter (fun l -> lit_value s l <> v_false)
-               (Array.to_list c.lits))
+               (Array.to_list lits))
         in
         (* [keep] has >= 2 literals on a conflict-free BCP fixpoint: an
            empty or unit remainder would have conflicted or propagated *)
@@ -624,18 +716,15 @@ let inprocess s =
               !false_lits
           in
           let sources =
-            c.cid
-            :: List.map (fun l -> s.reason.(Sat.Lit.var l)) by_pos_desc
+            c :: List.map (fun l -> s.reason.(Sat.Lit.var l)) by_pos_desc
           in
-          let cr = new_clause s keep c.learned true in
+          let cr = new_clause s keep (Array.length keep) learned true in
           emit s
-            (Trace.Event.Learned
-               { id = cr.cid; sources = Array.of_list sources });
+            (Trace.Event.Learned { id = cr; sources = Array.of_list sources });
           delete_clause s c;
           (* the old clause was just referenced, so the checker has it
              materialised whether learned or original: safe to hint *)
-          if s.cfg.emit_deletes && s.tracer <> None then
-            hints := c.cid :: !hints
+          if s.cfg.emit_deletes && s.tracer <> None then hints := c :: !hints
         end
       end
     end
@@ -663,21 +752,23 @@ let violation fmt =
         trail literal true with matching [pos] and [level], the literal
         truth table set for both polarities of exactly the trail's
         variables, queue drained);
-     2. implication-graph sanity and acyclicity: each assigned variable's
+     2. the arena: every live clause's header names its cid, the headers
+        tile [0, top) in cid order, and [wasted] is exactly the words of
+        the deleted clauses not yet compacted away;
+     3. implication-graph sanity and acyclicity: each assigned variable's
         reason clause is alive, holds the variable's true literal in slot
         0 (what [locked] reads), and has every other literal false and
         assigned strictly earlier on the trail — edges only point
         backwards, so no cycle can exist;
-     3. BCP-fixpoint semantics for attached clauses: none falsified, no
+     4. BCP-fixpoint semantics for attached clauses: none falsified, no
         unpropagated unit;
-     4. the watched-literal invariant propagation relies on: a false
+     5. the watched-literal invariant propagation relies on: a false
         watched literal has a true partner, assigned at a level no deeper
         than the false literal's;
-     5. two-watched integrity: watch lists reference alive clauses
-        through their slot-0/1 literals, every watchable clause is
-        watched exactly twice, and the slots past each live length hold
-        the [dead] sentinel;
-     6. the learned vector is exactly the live learned clauses, in
+     6. two-watched integrity: every watch entry is the header of a live,
+        attached clause holding the watched literal in slot 0 or 1, and
+        every watchable clause is watched exactly twice;
+     7. the learned vector is exactly the live learned clauses, in
         ascending id order. *)
 let sanitize_state s =
   let n = s.trail_len in
@@ -717,19 +808,45 @@ let sanitize_state s =
   done;
   if !assigned <> n then
     violation "%d variables assigned but trail holds %d" !assigned n;
+  let a = s.arena in
+  let live c = not (has s c f_deleted) in
+  for c = 1 to s.n_clauses do
+    if live c then begin
+      let h = s.offs.(c) in
+      if h < 0 || h + 1 >= s.top || a.(h) <> c then
+        violation "clause %d: the header at offset %d does not name it" c h
+    end
+  done;
+  let h = ref 0 and last = ref 0 and dead_words = ref 0 in
+  while !h < s.top do
+    let c = a.(!h) in
+    if c <= !last || c > s.n_clauses || s.offs.(c) <> !h then
+      violation "arena offset %d: header of clause %d, out of cid order \
+                 after clause %d" !h c !last;
+    let len = if !h + 1 < s.top then 2 + a.(!h + 1) else 0 in
+    if len < 2 || !h + len > s.top then
+      violation "clause %d runs past the arena's %d words" c s.top;
+    if not (live c) then dead_words := !dead_words + len;
+    last := c;
+    h := !h + len
+  done;
+  if !dead_words <> s.wasted then
+    violation "arena counts %d wasted words, deleted clauses hold %d" s.wasted
+      !dead_words;
   for v = 1 to s.nvars do
     if var_value s v <> v_unassigned && s.reason.(v) <> 0 then begin
       let r = s.reason.(v) in
-      if r < 1 || r > Sat.Vec.length s.clauses then
+      if r < 1 || r > s.n_clauses then
         violation "var %d: reason %d is not a clause id" v r;
-      let c = clause_of s r in
-      if c.deleted then violation "var %d: reason clause %d deleted" v r;
-      if Array.length c.lits = 0 || Sat.Lit.var c.lits.(0) <> v then
+      if not (live r) then violation "var %d: reason clause %d deleted" v r;
+      let h = s.offs.(r) in
+      let len = a.(h + 1) in
+      if len = 0 || Sat.Lit.var a.(h + 2) <> v then
         violation "reason %d does not hold var %d in slot 0" r v;
-      if lit_value s c.lits.(0) <> v_true then
+      if lit_value s a.(h + 2) <> v_true then
         violation "reason %d holds var %d in the false phase" r v;
-      for k = 1 to Array.length c.lits - 1 do
-        let q = c.lits.(k) in
+      for k = h + 3 to h + 1 + len do
+        let q = a.(k) in
         if lit_value s q <> v_false then
           violation "reason %d of var %d: literal %s not false" r v
             (Sat.Lit.to_string q);
@@ -742,80 +859,69 @@ let sanitize_state s =
       done
     end
   done;
-  Sat.Vec.iter
-    (fun c ->
-      if c.attached && not c.deleted then begin
-        let len = Array.length c.lits in
-        let nf = ref 0 and nt = ref 0 in
-        Array.iter
-          (fun l ->
-            match lit_value s l with
-            | v when v = v_false -> incr nf
-            | v when v = v_true -> incr nt
-            | _ -> ())
-          c.lits;
-        if !nt = 0 then begin
-          if !nf = len then
-            violation "clause %d falsified at a decision boundary" c.cid;
-          if !nf = len - 1 then
-            violation "clause %d unit but not propagated" c.cid
-        end;
-        if len >= 2 then
-          for w = 0 to 1 do
-            let fl = c.lits.(w) and partner = c.lits.(1 - w) in
-            if lit_value s fl = v_false then begin
-              if lit_value s partner <> v_true then
-                violation "clause %d: watched literal %s false, partner %s \
-                           not true"
-                  c.cid (Sat.Lit.to_string fl) (Sat.Lit.to_string partner);
-              if s.level.(Sat.Lit.var partner) > s.level.(Sat.Lit.var fl) then
-                violation "clause %d: true watch %s is deeper than false \
-                           watch %s"
-                  c.cid (Sat.Lit.to_string partner) (Sat.Lit.to_string fl)
-            end
-          done
-      end)
-    s.clauses;
-  let watch_count = Hashtbl.create 256 in
+  for c = 1 to s.n_clauses do
+    if has s c f_attached && live c then begin
+      let h = s.offs.(c) in
+      let len = a.(h + 1) in
+      let nf = ref 0 and nt = ref 0 in
+      for k = h + 2 to h + 1 + len do
+        match lit_value s a.(k) with
+        | v when v = v_false -> incr nf
+        | v when v = v_true -> incr nt
+        | _ -> ()
+      done;
+      if !nt = 0 then begin
+        if !nf = len then
+          violation "clause %d falsified at a decision boundary" c;
+        if !nf = len - 1 then
+          violation "clause %d unit but not propagated" c
+      end;
+      if len >= 2 then
+        for w = 0 to 1 do
+          let fl = a.(h + 2 + w) and partner = a.(h + 3 - w) in
+          if lit_value s fl = v_false then begin
+            if lit_value s partner <> v_true then
+              violation "clause %d: watched literal %s false, partner %s \
+                         not true"
+                c (Sat.Lit.to_string fl) (Sat.Lit.to_string partner);
+            if s.level.(Sat.Lit.var partner) > s.level.(Sat.Lit.var fl) then
+              violation "clause %d: true watch %s is deeper than false \
+                         watch %s"
+                c (Sat.Lit.to_string partner) (Sat.Lit.to_string fl)
+          end
+        done
+    end
+  done;
+  let watched = Array.make (s.n_clauses + 1) 0 in
   Array.iteri
     (fun l ws ->
-      for i = 0 to Array.length ws - 1 do
-        let c = ws.(i) in
-        if i >= s.wlen.(l) then begin
-          if c != dead then
-            violation "watch list of %d holds clause %d past its length %d"
-              l c.cid s.wlen.(l)
-        end
-        else begin
-          if c.cid < 1 || c.cid > Sat.Vec.length s.clauses
-             || clause_of s c.cid != c
-          then violation "watch list of %d holds bogus clause %d" l c.cid;
-          if c.deleted then
-            violation "watch list of %d holds deleted clause %d" l c.cid;
-          if Array.length c.lits < 2 || (c.lits.(0) <> l && c.lits.(1) <> l)
-          then
-            violation "clause %d watched on literal %d, not in its slots"
-              c.cid l;
-          Hashtbl.replace watch_count c.cid
-            (1 + Option.value ~default:0 (Hashtbl.find_opt watch_count c.cid))
-        end
+      for i = 0 to s.wlen.(l) - 1 do
+        let h = ws.(i) in
+        let c = if h >= 0 && h + 1 < s.top then a.(h) else 0 in
+        if c < 1 || c > s.n_clauses || s.offs.(c) <> h then
+          violation "watch list of %d holds offset %d, not a clause header" l h;
+        if not (live c) then
+          violation "watch list of %d holds deleted clause %d" l c;
+        if (not (has s c f_attached)) || a.(h + 1) < 2
+           || (a.(h + 2) <> l && a.(h + 3) <> l)
+        then
+          violation "clause %d watched on literal %d, not in its slots" c l;
+        watched.(c) <- watched.(c) + 1
       done)
     s.watches;
+  for c = 1 to s.n_clauses do
+    if has s c f_attached && live c && a.(s.offs.(c) + 1) >= 2
+       && watched.(c) <> 2
+    then violation "clause %d carried by %d watch lists, expected 2" c watched.(c)
+  done;
   let k = ref 0 in
-  Sat.Vec.iter
-    (fun c ->
-      if c.attached && not c.deleted && Array.length c.lits >= 2 then begin
-        let w = Option.value ~default:0 (Hashtbl.find_opt watch_count c.cid) in
-        if w <> 2 then
-          violation "clause %d carried by %d watch lists, expected 2" c.cid w
-      end;
-      if c.learned && not c.deleted then begin
-        if !k >= s.n_learnts || s.learnts.(!k) != c then
-          violation "learned clause %d not at slot %d of the learned vector"
-            c.cid !k;
-        incr k
-      end)
-    s.clauses;
+  for c = 1 to s.n_clauses do
+    if has s c f_learned && live c then begin
+      if !k >= s.n_learnts || s.learnts.(!k) <> c then
+        violation "learned clause %d not at slot %d of the learned vector" c !k;
+      incr k
+    end
+  done;
   if !k <> s.n_learnts then
     violation "learned vector holds %d clauses, %d are live" s.n_learnts !k
 
@@ -867,22 +973,19 @@ let load_original s f =
         | None -> [||]   (* tautology: keep the record, never attach *)
       in
       let taut = Sat.Clause.is_tautology c in
-      if !conflict <> 0 then
-        ignore (new_clause s (Array.copy c) false false)
-      else if taut then ignore (new_clause s (Array.copy c) false false)
+      if !conflict <> 0 || taut then
+        ignore (new_clause s c (Array.length c) false false)
       else
         match Array.length dedup with
-        | 0 ->
-          let cr = new_clause s [||] false false in
-          conflict := cr.cid
+        | 0 -> conflict := new_clause s dedup 0 false false
         | 1 ->
-          let cr = new_clause s dedup false false in
+          let cr = new_clause s dedup 1 false false in
           let l = dedup.(0) in
           (match lit_value s l with
-           | v when v = v_false -> conflict := cr.cid
+           | v when v = v_false -> conflict := cr
            | v when v = v_true -> ()
-           | _ -> enqueue s l cr.cid)
-        | _ -> ignore (new_clause s dedup false true))
+           | _ -> enqueue s l cr)
+        | n -> ignore (new_clause s dedup n false true))
     f;
   !conflict
 
@@ -895,7 +998,13 @@ let make_state cfg tracer nvars =
     cfg;
     tracer;
     nvars;
-    clauses = Sat.Vec.create ~dummy:dead;
+    arena = Array.make 1024 0;
+    top = 0;
+    wasted = 0;
+    n_clauses = 0;
+    offs = Array.make 64 (-1);
+    flags = Bytes.make 64 '\000';
+    cact = Array.make 64 0.0;
     watches = Array.make ((2 * nvars) + 2) [||];
     wlen = Array.make ((2 * nvars) + 2) 0;
     vals = Bytes.make ((2 * nvars) + 2) v_unassigned;
@@ -974,12 +1083,13 @@ let analyze_final s p =
               (possibly the complement of [p] itself, when contradictory
               literals were both assumed) *)
            failed := l :: !failed
-         else
-           Array.iter
-             (fun q ->
-               let u = Sat.Lit.var q in
-               if s.level.(u) > 0 then Bytes.set s.seen u '\001')
-             (clause_of s s.reason.(v)).lits);
+         else begin
+           let h = s.offs.(s.reason.(v)) in
+           for k = h + 2 to h + 1 + s.arena.(h + 1) do
+             let u = Sat.Lit.var s.arena.(k) in
+             if s.level.(u) > 0 then Bytes.set s.seen u '\001'
+           done
+         end);
         Bytes.set s.seen v '\000'
       end
     done;
@@ -1029,6 +1139,8 @@ let search s assumptions =
         Obs.Metrics.Gauge.set m_decisions (float_of_int s.s_decisions);
         Obs.Metrics.Gauge.set m_propagations (float_of_int s.s_propagations);
         Obs.Metrics.Gauge.set m_learned_alive (float_of_int s.n_learnts);
+        Obs.Metrics.Gauge.set m_arena_words
+          (float_of_int (Array.length s.arena));
         Obs.Sampler.tick ()
       end;
       if decision_level s = 0 then begin
@@ -1036,17 +1148,15 @@ let search s assumptions =
         answer := Some O_unsat_formula
       end
       else begin
-        let lits, blevel, sources = analyze s confl in
-        let cr = new_clause s lits true true in
+        let len, blevel, sources = analyze s confl in
+        let cr = new_clause s s.lbuf len true true in
         s.s_learned <- s.s_learned + 1;
-        s.s_learned_lits <- s.s_learned_lits + Array.length lits;
-        if Obs.Ctl.on () then
-          Obs.Metrics.Histogram.observe m_learned_lits (Array.length lits);
+        s.s_learned_lits <- s.s_learned_lits + len;
+        if Obs.Ctl.on () then Obs.Metrics.Histogram.observe m_learned_lits len;
         emit s
-          (Trace.Event.Learned
-             { id = cr.cid; sources = Array.of_list sources });
+          (Trace.Event.Learned { id = cr; sources = Array.of_list sources });
         backtrack s blevel;
-        enqueue s lits.(0) cr.cid;
+        enqueue s s.lbuf.(0) cr;
         var_decay s;
         cla_decay s
       end
@@ -1175,20 +1285,11 @@ type seed = {
 }
 
 (* Ids the simplifier used for clauses it has since removed are parked as
-   deleted, unattached placeholders so the cid = vector-index + 1
-   convention keeps holding. *)
+   deleted placeholders with no words in the arena, so cids stay the
+   trace's ids. *)
 let pad_to s id =
-  while Sat.Vec.length s.clauses + 1 < id do
-    let cid = Sat.Vec.length s.clauses + 1 in
-    Sat.Vec.push s.clauses
-      {
-        cid;
-        lits = [||];
-        learned = false;
-        activity = 0.0;
-        deleted = true;
-        attached = false;
-      }
+  while s.n_clauses + 1 < id do
+    Bytes.set s.flags (next_cid s) (Char.chr f_deleted)
   done
 
 (* Load the surviving clause set under the simplifier's ids, in id order.
@@ -1201,21 +1302,21 @@ let load_seeded s seed =
   List.iter
     (fun (id, c) ->
       pad_to s id;
-      if Sat.Vec.length s.clauses + 1 <> id then
+      if s.n_clauses + 1 <> id then
         invalid_arg "Cdcl.solve_seeded: seed clause ids not increasing";
       match Array.length c with
       | 0 ->
-        let cr = new_clause s [||] false false in
-        if !conflict = 0 then conflict := cr.cid
+        let cr = new_clause s c 0 false false in
+        if !conflict = 0 then conflict := cr
       | 1 ->
-        let cr = new_clause s c false false in
+        let cr = new_clause s c 1 false false in
         let l = c.(0) in
         if !conflict = 0 then (
           match lit_value s l with
-          | v when v = v_false -> conflict := cr.cid
+          | v when v = v_false -> conflict := cr
           | v when v = v_true -> ()
-          | _ -> enqueue s l cr.cid)
-      | _ -> ignore (new_clause s c false true))
+          | _ -> enqueue s l cr)
+      | n -> ignore (new_clause s c n false true))
     (List.sort (fun (a, _) (b, _) -> compare a b) seed.seed_clauses);
   pad_to s seed.seed_first_learned;
   !conflict
@@ -1261,17 +1362,17 @@ module Incremental = struct
     if i.alive then begin
       backtrack s 0;
       match Sat.Clause.normalize c with
-      | None -> ignore (new_clause s (Array.copy c) false false)
+      | None -> ignore (new_clause s c (Array.length c) false false)
       | Some d -> (
         match Array.length d with
         | 0 -> i.alive <- false
         | 1 -> (
-          let cr = new_clause s d false false in
+          let cr = new_clause s d 1 false false in
           match lit_value s d.(0) with
           | v when v = v_true -> ()
           | v when v = v_false -> i.alive <- false
           | _ ->
-            enqueue s d.(0) cr.cid;
+            enqueue s d.(0) cr;
             if propagate s <> 0 then i.alive <- false)
         | _ -> (
           (* attach, watching non-false slots when possible so level-0
@@ -1293,13 +1394,13 @@ module Incremental = struct
           let have1 = have0 && place 1 1 in
           if not have0 then i.alive <- false
           else if not have1 then begin
-            let cr = new_clause s d false false in
+            let cr = new_clause s d len false false in
             if lit_value s d.(0) = v_unassigned then begin
-              enqueue s d.(0) cr.cid;
+              enqueue s d.(0) cr;
               if propagate s <> 0 then i.alive <- false
             end
           end
-          else ignore (new_clause s d false true)))
+          else ignore (new_clause s d len false true)))
     end
 
   let solve ?(assumptions = []) i =

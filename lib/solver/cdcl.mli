@@ -54,8 +54,9 @@ type config = {
           two-watched-literal integrity (a false watched literal has a
           true partner assigned no deeper), trail/level consistency, the
           literal truth table, implication-graph acyclicity, each reason
-          clause holding its implied literal in slot 0, the learned-clause
-          vector, and BCP-fixpoint semantics, raising
+          clause holding its implied literal in slot 0, the clause arena's
+          layout and wasted-word count, the learned-clause vector, and
+          BCP-fixpoint semantics, raising
           {!Sanitizer_violation} on the first broken invariant.  Debugging
           aid in the ASan spirit — heavy slowdown, no behaviour change.
           Off by default. *)

@@ -148,6 +148,66 @@ let test_incremental_accumulates () =
   done;
   Alcotest.check Alcotest.int "no mismatches" 0 !mismatches
 
+(* One session, sanitized, under aggressive deletion: its clause arena is
+   compacted between and during queries while clauses keep arriving.  The
+   formula is PHP(4, 4); half the queries assume a hole empty, which
+   leaves PHP(4, 3) to refute, so the session runs about a hundred
+   conflicts.  Every answer must match the oracle on the formula so far
+   under the query's assumptions, and every failed subset must be a real
+   core. *)
+let test_incremental_under_deletion () =
+  let holes = 4 in
+  let rng = Sat.Rng.create 1 in
+  let config =
+    {
+      C.default_config with
+      max_learned_factor = 0.05;
+      max_learned_inc = 1.01;
+      sanitize = true;
+    }
+  in
+  let f = Gen.Php.generate ~pigeons:holes ~holes in
+  let nvars = Sat.Cnf.nvars f in
+  let session = C.Incremental.create ~config f in
+  let so_far = Sat.Cnf.copy f in
+  let random_lit () =
+    Sat.Lit.make (1 + Sat.Rng.int rng nvars) (Sat.Rng.bool rng)
+  in
+  for round = 1 to 40 do
+    if round mod 4 = 0 then begin
+      let c = Sat.Clause.of_lits (List.init 3 (fun _ -> random_lit ())) in
+      C.Incremental.add_clause session c;
+      ignore (Sat.Cnf.add_clause so_far c)
+    end;
+    let assumptions =
+      if Sat.Rng.bool rng then
+        let j = 1 + Sat.Rng.int rng holes in
+        List.init holes (fun i -> Sat.Lit.neg ((i * holes) + j))
+      else List.init (1 + Sat.Rng.int rng 3) (fun _ -> random_lit ())
+    in
+    let oracle = Solver.Enumerate.solve (with_units so_far assumptions) in
+    match C.Incremental.solve ~assumptions session, oracle with
+    | C.A_sat a, Solver.Cdcl.Sat _ ->
+      if not (Sat.Model.satisfies a (with_units so_far assumptions)) then
+        Alcotest.failf "round %d: model wrong" round
+    | C.A_unsat_assumptions failed, Solver.Cdcl.Unsat -> (
+      if not (List.for_all (fun l -> List.mem l assumptions) failed) then
+        Alcotest.failf "round %d: failed literal not assumed" round;
+      match Solver.Enumerate.solve (with_units so_far failed) with
+      | Solver.Cdcl.Unsat -> ()
+      | Solver.Cdcl.Sat _ ->
+        Alcotest.failf "round %d: failed subset not conflicting" round)
+    | C.A_unsat, Solver.Cdcl.Unsat -> (
+      match Solver.Enumerate.solve so_far with
+      | Solver.Cdcl.Unsat -> ()
+      | Solver.Cdcl.Sat _ ->
+        Alcotest.failf "round %d: A_unsat on a satisfiable formula" round)
+    | (C.A_unsat_assumptions _ | C.A_unsat), Solver.Cdcl.Sat _ ->
+      Alcotest.failf "round %d: unsat, oracle sat" round
+    | C.A_sat _, Solver.Cdcl.Unsat ->
+      Alcotest.failf "round %d: sat, oracle unsat" round
+  done
+
 let test_incremental_reuse_learning () =
   (* repeated queries on the same unsat formula reuse the session *)
   let f = Gen.Php.unsat ~holes:4 in
@@ -193,6 +253,8 @@ let suite =
       [
         Alcotest.test_case "accumulating clauses" `Slow
           test_incremental_accumulates;
+        Alcotest.test_case "sanitized session under deletion" `Quick
+          test_incremental_under_deletion;
         Alcotest.test_case "session reuse" `Quick
           test_incremental_reuse_learning;
         Alcotest.test_case "variable bounds" `Quick

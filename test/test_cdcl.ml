@@ -209,11 +209,42 @@ let test_search_pins () =
     Alcotest.(list (triple string string string))
     "trace digests and counters" search_pins got
 
+(* Deleted clauses give their words back.  php_8 learns 568,626 literals
+   and deletes most of its clauses, so an arena that kept every clause
+   would end well past half of that; the arena_words gauge must also have
+   held the original clauses, two header words each. *)
+let test_arena_reclaims () =
+  let f = Gen.Php.unsat ~holes:8 in
+  let originals = ref 0 in
+  Sat.Cnf.iter_clauses (fun _ c -> originals := !originals + 2 + Array.length c) f;
+  Obs.Metrics.reset Obs.Metrics.global;
+  Obs.Ctl.enable ();
+  let finish () =
+    Obs.Ctl.disable ();
+    Obs.Metrics.reset Obs.Metrics.global;
+    Obs.Span.reset ();
+    Obs.Sampler.reset ()
+  in
+  Fun.protect ~finally:finish (fun () ->
+      let _, (st : Solver.Cdcl.stats) = Solver.Cdcl.solve f in
+      let peak =
+        Obs.Metrics.Gauge.max_value
+          (Obs.Metrics.gauge Obs.Metrics.global "solver.arena_words")
+      in
+      if peak < float_of_int !originals then
+        Alcotest.failf "arena_words peaked at %.0f, below the %d original words"
+          peak !originals;
+      if peak >= float_of_int st.learned_literals /. 2.0 then
+        Alcotest.failf "arena_words peaked at %.0f of %d learned literals" peak
+          st.learned_literals)
+
 let suite =
   [
     ( "cdcl",
       [
         Alcotest.test_case "search pins" `Quick test_search_pins;
+        Alcotest.test_case "arena reclaims deleted clauses" `Quick
+          test_arena_reclaims;
         Alcotest.test_case "trivial cases" `Quick test_trivial_cases;
         Alcotest.test_case "contradicting units" `Quick
           test_contradicting_units;

@@ -407,22 +407,25 @@ let test_binary_roundtrip_lint_clean () =
 
 (* --- runtime sanitizer -------------------------------------------------- *)
 
-let sanitize_case name config =
+let sanitize_case ?(holes = 4) name config =
   Alcotest.test_case name `Quick (fun () ->
       (* the sanitizer only reads: the trace is byte-identical with it on *)
-      let traced config =
-        Pipeline.Validate.solve_with_trace ~config (Gen.Php.unsat ~holes:4)
+      let traced (config : Solver.Cdcl.config) =
+        let version = if config.emit_deletes then 2 else 1 in
+        Pipeline.Validate.solve_with_trace ~config ~version
+          (Gen.Php.unsat ~holes)
       in
-      let _, _, plain = traced { config with Solver.Cdcl.sanitize = false } in
       let config = { config with Solver.Cdcl.sanitize = true } in
       let result, _, checked = traced config in
+      let _, _, plain = traced { config with Solver.Cdcl.sanitize = false } in
       Alcotest.check Alcotest.bool "sanitized trace identical" true
         (plain = checked);
       (* an UNSAT and a SAT instance, both solved under full invariant
          checking at every decision boundary; answers must be unchanged *)
       (match result with
        | Solver.Cdcl.Unsat -> ()
-       | Solver.Cdcl.Sat _ -> Alcotest.fail "php-4 sanitized: wrong answer");
+       | Solver.Cdcl.Sat _ ->
+         Alcotest.failf "php-%d sanitized: wrong answer" holes);
       let rng = Sat.Rng.create 7 in
       let sat_f = Gen.Random3sat.generate rng ~nvars:20 ~nclauses:40 in
       match Solver.Cdcl.solve ~config sat_f with
@@ -484,5 +487,15 @@ let suite =
           };
         sanitize_case "invariants hold under inprocessing"
           { Solver.Cdcl.default_config with inprocess_interval = 5 };
+        (* enough conflicts that the arena is compacted many times, with
+           deletion batches from both reduction and inprocessing *)
+        sanitize_case ~holes:6 "arena invariants hold across compactions"
+          {
+            Solver.Cdcl.default_config with
+            max_learned_factor = 0.05;
+            max_learned_inc = 1.01;
+            inprocess_interval = 5;
+            emit_deletes = true;
+          };
       ] );
   ]

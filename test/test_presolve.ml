@@ -116,20 +116,27 @@ let test_pin_probe () =
 
 (* --- fuzzed equisatisfiability and model reconstruction ------------------ *)
 
-let test_fuzz_pre_roundtrip () =
+(* up to 12 variables, messy or random 3-SAT *)
+let small_instance rng =
+  let nvars = 3 + Sat.Rng.int rng 10 in
+  let nclauses = 1 + Sat.Rng.int rng (5 * nvars) in
+  if Sat.Rng.bool rng then Helpers.random_messy_cnf rng ~nvars ~nclauses
+  else Gen.Random3sat.generate rng ~nvars ~nclauses:(min nclauses (6 * nvars))
+
+(* 40 to 79 variables of random 3-SAT at ratio 4.3, hard enough for a few
+   hundred conflicts each *)
+let threshold_instance rng =
+  Gen.Random3sat.generate_at_ratio rng ~nvars:(40 + Sat.Rng.int rng 40)
+    ~ratio:4.3
+
+let fuzz_pre_roundtrip ?config ~instance ~rounds ~min_unsat () =
   let rng = Sat.Rng.create 20260808 in
   let unsat_seen = ref 0 in
-  for round = 1 to 120 do
-    let nvars = 3 + Sat.Rng.int rng 10 in
-    let nclauses = 1 + Sat.Rng.int rng (5 * nvars) in
-    let f =
-      if Sat.Rng.bool rng then Helpers.random_messy_cnf rng ~nvars ~nclauses
-      else
-        Gen.Random3sat.generate rng ~nvars ~nclauses:(min nclauses (6 * nvars))
-    in
+  for round = 1 to rounds do
+    let f = instance rng in
     let plain, _ = Solver.Cdcl.solve f in
     let result, _stats, trace =
-      Pipeline.Validate.solve_with_trace ~pre:true f
+      Pipeline.Validate.solve_with_trace ?config ~pre:true f
     in
     if not (Helpers.same_status plain result) then
       Alcotest.failf "round %d: plain %s vs pre %s" round
@@ -148,7 +155,7 @@ let test_fuzz_pre_roundtrip () =
          Alcotest.failf "round %d: pre trace rejected: %s" round
            (Proof.Diagnostics.to_string d))
   done;
-  if !unsat_seen < 10 then
+  if !unsat_seen < min_unsat then
     Alcotest.failf "only %d unsat instances fuzzed" !unsat_seen
 
 (* --- seven-strategy agreement matrix over structured families ------------ *)
@@ -392,7 +399,21 @@ let suite =
         Alcotest.test_case "pin: variable elimination" `Quick test_pin_bve;
         Alcotest.test_case "pin: failed-literal probing" `Quick test_pin_probe;
         Alcotest.test_case "fuzz: pre round-trip x120" `Quick
-          test_fuzz_pre_roundtrip;
+          (fuzz_pre_roundtrip ~instance:small_instance ~rounds:120
+             ~min_unsat:10);
+        (* most rounds compact the solver's clause arena around the
+           placeholder ids of clauses the simplifier removed, sanitized *)
+        Alcotest.test_case "fuzz: pre + inprocess under deletion x30" `Quick
+          (fuzz_pre_roundtrip
+             ~config:
+               {
+                 Solver.Cdcl.default_config with
+                 inprocess_interval = 5;
+                 max_learned_factor = 0.05;
+                 max_learned_inc = 1.01;
+                 sanitize = true;
+               }
+             ~instance:threshold_instance ~rounds:30 ~min_unsat:5);
         Alcotest.test_case "pre agreement matrix 3x2x7" `Quick
           test_pre_strategy_matrix;
         Alcotest.test_case "pre core indices original" `Quick
