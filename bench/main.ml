@@ -69,10 +69,10 @@ type prepared = {
   time_on : float;
 }
 
-(* Every bench time is wall-clock seconds on the Obs span clock (only
-   the wall clock shows domain-level parallelism).  [median f] is
-   [f ()]'s result with the median of three to five runs for instances
-   fast enough that scheduler noise would otherwise dominate. *)
+(* Every bench time is wall-clock seconds on the Obs span clock.
+   [median f] is [f ()]'s result with the median of three to five runs
+   for instances fast enough that scheduler noise would otherwise
+   dominate. *)
 let median f =
   let x, t1 = Obs.Ctl.time f in
   let reps = if t1 > 5.0 then 0 else if t1 > 1.0 then 2 else 4 in
@@ -449,90 +449,6 @@ let baseline () =
       [ "circuit"; "bdd verdict"; "bdd time (s)"; "sat verdict";
         "sat time (s)" ]
     ~align:[ Harness.Table.Left; Harness.Table.Left ]
-    rows
-
-(* --- Parallel checker: jobs sweep --------------------------------------- *)
-
-(* Sequential BF against the wavefront-parallel checker at 1, 2 and 4
-   worker domains.  Every parallel run is cross-checked against the BF
-   report (built clauses, steps, built ids) before its time is trusted;
-   the live-clause columns track the windowed scheduler's memory bound
-   (par peak live must stay within ~10% of BF's). *)
-let par_sweep instances =
-  Printf.printf
-    "Parallel check. Wavefront-parallel BF, wall-clock jobs sweep\n\
-     (baseline: sequential BF; this host reports %d core(s) — elapsed \
-     speedup above 1.0 needs a multicore host, see EXPERIMENTS.md)\n\n"
-    (Domain.recommended_domain_count ());
-  let rows =
-    List.map
-      (fun (name, generate) ->
-        let f = generate () in
-        let result, _stats, trace = Pipeline.Validate.solve_with_trace f in
-        (match result with
-         | Solver.Cdcl.Unsat -> ()
-         | Solver.Cdcl.Sat _ ->
-           failwith (name ^ ": benchmark instance unexpectedly satisfiable"));
-        let src = Trace.Reader.From_string trace in
-        let bf, bf_s =
-          median (fun () ->
-              match Checker.Bf.check f src with
-              | Ok r -> r
-              | Error d ->
-                failwith (name ^ ": bf: " ^ Proof.Diagnostics.to_string d))
-        in
-        let par jobs =
-          median (fun () ->
-              match Checker.Par.check ~jobs f src with
-              | Ok r -> r
-              | Error d ->
-                failwith
-                  (Printf.sprintf "%s: par j%d: %s" name jobs
-                     (Proof.Diagnostics.to_string d)))
-        in
-        let p1, s1 = par 1 in
-        let p2, s2 = par 2 in
-        let p4, s4 = par 4 in
-        List.iter
-          (fun (p : Checker.Report.t) ->
-            if
-              p.clauses_built <> bf.Checker.Report.clauses_built
-              || p.resolution_steps <> bf.Checker.Report.resolution_steps
-              || p.learned_built_ids <> bf.Checker.Report.learned_built_ids
-            then failwith (name ^ ": par report diverged from bf"))
-          [ p1; p2; p4 ];
-        let live_delta =
-          if bf.Checker.Report.peak_live_clauses = 0 then 0.0
-          else
-            float_of_int
-              (p4.Checker.Report.peak_live_clauses
-              - bf.Checker.Report.peak_live_clauses)
-            /. float_of_int bf.Checker.Report.peak_live_clauses
-        in
-        [
-          name;
-          string_of_int bf.Checker.Report.resolution_steps;
-          string_of_int p4.Checker.Report.wavefronts;
-          string_of_int p4.Checker.Report.max_wavefront_width;
-          fmt_f ~decimals:3 bf_s;
-          fmt_f ~decimals:3 s1;
-          fmt_f ~decimals:3 s2;
-          fmt_f ~decimals:3 s4;
-          fmt_f ~decimals:2 (bf_s /. Float.max 1e-6 s4);
-          string_of_int bf.Checker.Report.peak_live_clauses;
-          string_of_int p4.Checker.Report.peak_live_clauses;
-          fmt_pct live_delta;
-        ])
-      instances
-  in
-  print_table "par"
-    ~headers:
-      [
-        "instance"; "resolutions"; "wavefronts"; "max width"; "bf (s)";
-        "par j1 (s)"; "par j2 (s)"; "par j4 (s)"; "speedup@4"; "bf live";
-        "par live"; "live delta";
-      ]
-    ~align:[ Harness.Table.Left ]
     rows
 
 (* --- stream: materialized vs online validation -------------------------- *)
@@ -1426,13 +1342,11 @@ let families names =
 
 (* The sized sweeps: [all] runs each on its full instances, and
    <name>_quick runs the CI-sized ones with the same columns, JSON
-   artifact and gates.  php_8 is the >=100k-resolution family the
-   parallel sweep targets (~169k resolutions); php_7 gives a second,
-   lighter point. *)
+   artifact and gates.  php_8 is a >=100k-resolution family (~169k
+   resolutions); php_7 gives a second, lighter point. *)
 let sweeps =
   let full = [ php 7; php 8 ] and quick = [ php 5 ] in
   [
-    ("par", par_sweep, full, quick);
     ("stream", stream_bench, full, quick);
     ("trim", trim_bench, full, quick);
     ("hint", hint_bench, full, quick);

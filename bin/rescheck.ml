@@ -173,7 +173,7 @@ let telemetry_term =
             "Arm the flight recorder: a ring buffer of the last $(docv) \
              (default 1024) structured subsystem events — solver restarts \
              and DB reductions, window spills/reloads, parse slow-path \
-             bails, arena fallbacks, wavefront barriers — dumped as \
+             bails, arena fallbacks and growth — dumped as \
              deterministic JSON at exit (stderr, or $(b,--journal-file)) \
              and on SIGUSR1.  Verdicts and stdout are byte-identical with \
              the flag on or off.")
@@ -378,7 +378,6 @@ type check_call = {
   cc_format : Trace.Writer.format option;
   cc_io : Trace.Reader.io;
   cc_first_pass : Trace.Source.t;
-  cc_jobs : int;
   cc_window : int;
 }
 
@@ -394,7 +393,7 @@ type mode = {
     (Checker.Report.t, Proof.Diagnostics.failure) result)
     option;
       (* None: the mode only exists for `validate` *)
-  m_strategy : jobs:int -> window:int -> Pipeline.Validate.strategy;
+  m_strategy : window:int -> Pipeline.Validate.strategy;
 }
 
 let modes =
@@ -408,7 +407,7 @@ let modes =
           (fun c f src ->
             Checker.Df.check ?mem_limit:c.cc_mem_limit ?format:c.cc_format
               ~io:c.cc_io ~first_pass:c.cc_first_pass f src);
-      m_strategy = (fun ~jobs:_ ~window:_ -> Pipeline.Validate.Depth_first);
+      m_strategy = (fun ~window:_ -> Pipeline.Validate.Depth_first);
     };
     {
       m_name = "bf";
@@ -419,7 +418,7 @@ let modes =
           (fun c f src ->
             Checker.Bf.check ?mem_limit:c.cc_mem_limit ?format:c.cc_format
               ~io:c.cc_io ~first_pass:c.cc_first_pass f src);
-      m_strategy = (fun ~jobs:_ ~window:_ -> Pipeline.Validate.Breadth_first);
+      m_strategy = (fun ~window:_ -> Pipeline.Validate.Breadth_first);
     };
     {
       m_name = "hybrid";
@@ -430,25 +429,14 @@ let modes =
           (fun c f src ->
             Checker.Hybrid.check ?mem_limit:c.cc_mem_limit ?format:c.cc_format
               ~io:c.cc_io ~first_pass:c.cc_first_pass f src);
-      m_strategy = (fun ~jobs:_ ~window:_ -> Pipeline.Validate.Hybrid);
-    };
-    {
-      m_name = "par";
-      m_aliases = [ "parallel" ];
-      m_hints = false;
-      m_check =
-        Some
-          (fun c f src ->
-            Checker.Par.check ?mem_limit:c.cc_mem_limit ?format:c.cc_format
-              ~io:c.cc_io ~jobs:c.cc_jobs ~first_pass:c.cc_first_pass f src);
-      m_strategy = (fun ~jobs ~window:_ -> Pipeline.Validate.Parallel jobs);
+      m_strategy = (fun ~window:_ -> Pipeline.Validate.Hybrid);
     };
     {
       m_name = "online";
       m_aliases = [];
       m_hints = false;
       m_check = None;
-      m_strategy = (fun ~jobs:_ ~window:_ -> Pipeline.Validate.Online);
+      m_strategy = (fun ~window:_ -> Pipeline.Validate.Online);
     };
     {
       m_name = "hint";
@@ -459,7 +447,7 @@ let modes =
           (fun c f src ->
             Checker.Hint.check ?mem_limit:c.cc_mem_limit ?format:c.cc_format
               ~io:c.cc_io ~first_pass:c.cc_first_pass f src);
-      m_strategy = (fun ~jobs:_ ~window:_ -> Pipeline.Validate.Hinted);
+      m_strategy = (fun ~window:_ -> Pipeline.Validate.Hinted);
     };
     {
       m_name = "window";
@@ -471,7 +459,7 @@ let modes =
             Checker.Window.check ?mem_limit:c.cc_mem_limit ?format:c.cc_format
               ~io:c.cc_io ~window:c.cc_window ~first_pass:c.cc_first_pass f
               src);
-      m_strategy = (fun ~jobs:_ ~window -> Pipeline.Validate.Window window);
+      m_strategy = (fun ~window -> Pipeline.Validate.Window window);
     };
   ]
 
@@ -495,23 +483,14 @@ let strategy_arg =
         ~doc:
           "Checking mode: $(b,df) (fast, memory-hungry), $(b,bf) \
            (streaming, bounded memory), $(b,hybrid) (best of both, the \
-           paper's future work), $(b,par) (bf replayed as wavefronts \
-           across $(b,--jobs) domains), $(b,hint) (one-pass checking of a \
+           paper's future work), $(b,hint) (one-pass checking of a \
            deletion-hinted trace, see $(b,rescheck hint)), $(b,window) \
            (bf with at most $(b,--window) learned clauses resident), or — \
            for $(b,validate) only — $(b,online) (lint and check the live \
            solver stream while it is being produced).")
 
-let jobs_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "jobs"; "j" ] ~docv:"N"
-        ~doc:
-          "Worker domains for $(b,--mode par) (ignored by the sequential \
-           modes).  Must be at least 1.")
-
-(* --jobs, --window or --mem-limit below 1 is a usage error (exit 2),
-   like any other bad input *)
+(* --window or --mem-limit below 1 is a usage error (exit 2), like any
+   other bad input *)
 let at_least_one flag n =
   if n < 1 then begin
     Printf.eprintf "error: --%s must be >= 1 (got %d)\n" flag n;
@@ -538,9 +517,8 @@ let mem_limit_arg =
            be at least 1.")
 
 let check_cmd =
-  let run () formula_path trace_path mode jobs window mem_limit no_lint
+  let run () formula_path trace_path mode window mem_limit no_lint
       format_override io json analyze refusal_file =
-    at_least_one "jobs" jobs;
     at_least_one "window" window;
     Option.iter (at_least_one "mem-limit") mem_limit;
     (* [refuse] is the single exit point for every refusal and rejection:
@@ -675,7 +653,6 @@ let check_cmd =
                 cc_format = format_override;
                 cc_io = io;
                 cc_first_pass = first_pass;
-                cc_jobs = jobs;
                 cc_window = window;
               }
               f source)
@@ -825,11 +802,12 @@ let check_cmd =
           trace encoding is auto-detected unless $(b,--format) forces it; \
           linting and pass one share a single parse.  Exit codes: 0 \
           verified, 1 proof rejected, 2 bad input (lint or parse failure, \
-          ambiguous encoding, or bad $(b,--jobs)), 3 memory-out.")
+          ambiguous encoding, or a bad $(b,--window) or \
+          $(b,--mem-limit)), 3 memory-out.")
     Term.(
       const run $ telemetry_term $ formula_arg $ trace_pos $ strategy_arg
-      $ jobs_arg $ window_arg $ mem_limit_arg $ no_lint_arg $ in_format_arg
-      $ io_arg $ json_arg $ analyze_flag_arg $ refusal_arg)
+      $ window_arg $ mem_limit_arg $ no_lint_arg $ in_format_arg $ io_arg
+      $ json_arg $ analyze_flag_arg $ refusal_arg)
 
 (* --- lint --------------------------------------------------------------- *)
 
@@ -952,13 +930,12 @@ let analyze_cmd =
 (* --- validate ------------------------------------------------------------ *)
 
 let validate_cmd =
-  let run () formula_path mode jobs window format pre seed no_restarts
+  let run () formula_path mode window format pre seed no_restarts
       no_deletion minimize sanitize analyze =
-    at_least_one "jobs" jobs;
     at_least_one "window" window;
     let f = load_formula formula_path in
     let config = config_of seed no_restarts no_deletion minimize sanitize in
-    let strategy = mode.m_strategy ~jobs ~window in
+    let strategy = mode.m_strategy ~window in
     let o =
       or_sanitizer_exit (fun () ->
           Pipeline.Validate.run ~config ~format ~strategy ~analyze ~pre f)
@@ -1013,9 +990,9 @@ let validate_cmd =
           the linter and the checker's counting pass while solving runs, \
           so the full encoded trace is never held in memory.")
     Term.(
-      const run $ telemetry_term $ formula_arg $ strategy_arg $ jobs_arg
-      $ window_arg $ format_arg $ pre_arg $ seed_arg $ no_restarts_arg
-      $ no_deletion_arg $ minimize_arg $ sanitize_arg $ analyze_flag_arg)
+      const run $ telemetry_term $ formula_arg $ strategy_arg $ window_arg
+      $ format_arg $ pre_arg $ seed_arg $ no_restarts_arg $ no_deletion_arg
+      $ minimize_arg $ sanitize_arg $ analyze_flag_arg)
 
 (* --- core ---------------------------------------------------------------- *)
 

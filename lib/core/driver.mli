@@ -1,7 +1,7 @@
 (** The checker driver: every step the checking strategies share, so
-    {!Df}, {!Bf}, {!Hybrid}, {!Hint}, {!Window}, {!Par} and
-    {!Proof_stats} each keep only their schedule — what to build, when
-    to release it, and whether to count uses first.
+    {!Df}, {!Bf}, {!Hybrid}, {!Hint}, {!Window} and {!Proof_stats} each
+    keep only their schedule — what to build, when to release it, and
+    whether to count uses first.
 
     A strategy creates its kernel ([Proof.Kernel.create ?mem_limit],
     unlimited by default), then runs its schedule inside {!run}:
@@ -58,18 +58,9 @@ val final_chain :
 
 (** [report k ~total_learned] is the verdict of a completed check, from
     the kernel's counters and its store's simulated peak, published as
-    the [checker.*] (and, for a parallel schedule, [par.*]) telemetry
-    gauges.  With [core] the report carries the unsat core (depth-first
-    and hybrid); [jobs]/[wavefronts]/[max_wavefront_width] describe a
-    parallel schedule (default: one job, no wavefronts). *)
-val report :
-  ?core:bool ->
-  ?jobs:int ->
-  ?wavefronts:int ->
-  ?max_wavefront_width:int ->
-  Proof.Kernel.t ->
-  total_learned:int ->
-  Report.t
+    the [checker.*] telemetry gauges.  With [core] the report carries
+    the unsat core (depth-first and hybrid). *)
+val report : ?core:bool -> Proof.Kernel.t -> total_learned:int -> Report.t
 
 (** {2 Use counts}
 
@@ -87,12 +78,6 @@ val uses : Proof.Kernel.t -> uses
 (** [count_uses u e] records one use of every clause [e] references:
     resolve sources, level-0 antecedents and the final conflict. *)
 val count_uses : uses -> Trace.Event.t -> unit
-
-val count : uses -> int -> int
-
-(** [release u k id] drops one use of [id], releasing it from [k] when
-    that was the last. *)
-val release : uses -> Proof.Kernel.t -> int -> unit
 
 (** [count_to_file u ~chunk source] counts [source]'s uses into a temp
     file, one streaming pass per [chunk] clause ids (the paper's

@@ -6,12 +6,11 @@
    in windows of [window] definitions, and when a window fills, every
    clause still alive — learned clauses with undrained use counts, plus
    any materialised originals — is evicted from the arena.  Learned
-   clauses are spilled byte-for-byte through a frozen arena view
-   ({!Proof.Clause_db.freeze}) into a temp file; originals need no spill
-   because the formula itself backs them.  A later reference reloads the
-   clause transiently for the one chain that needs it and releases it
-   right after, so the arena never holds more than [window] learned
-   clauses plus one chain's operands.
+   clauses are spilled byte-for-byte from the store into a temp file;
+   originals need no spill because the formula itself backs them.  A
+   later reference reloads the clause transiently for the one chain that
+   needs it and releases it right after, so the arena never holds more
+   than [window] learned clauses plus one chain's operands.
 
    The schedule changes nothing the checker observes: verdicts, cores
    (empty, like breadth-first), built sets, resolution step counts and
@@ -71,25 +70,22 @@ let ensure_scratch st n =
   if Array.length st.scratch < n then
     st.scratch <- Array.make (max n (2 * Array.length st.scratch)) 0
 
-(* Shift the window: spill every live learned clause out through a frozen
-   view, drop materialised originals (the formula backs them), and start
-   the next window with an empty arena. *)
+(* Shift the window: spill every live learned clause out of the store,
+   drop materialised originals (the formula backs them), and start the
+   next window with an empty arena. *)
 let boundary st =
   st.windows <- st.windows + 1;
   st.fill <- 0;
   if Hashtbl.length st.live > 0 then begin
     let db = Proof.Kernel.db st.kernel in
-    let ro = Proof.Clause_db.freeze db in
     let ids = Hashtbl.fold (fun id () acc -> id :: acc) st.live [] in
     List.iter
       (fun id ->
         let h = Option.get (Proof.Kernel.peek st.kernel id) in
-        let n = Proof.Clause_db.ro_size ro h in
-        ensure_scratch st n;
-        let n = Proof.Clause_db.ro_copy_lits ro h st.scratch in
+        let n = Proof.Clause_db.size db h in
         let off = pos_out st.spill.oc in
         for i = 0 to n - 1 do
-          output_binary_int st.spill.oc st.scratch.(i)
+          output_binary_int st.spill.oc (Proof.Clause_db.lit db h i)
         done;
         Hashtbl.replace st.spill.index id (off, n);
         st.spilled <- st.spilled + 1;

@@ -3,12 +3,11 @@
     Breadth-first's counting pass followed by a windowed reconstruction
     pass: learned records are processed in windows of a configured size,
     and when a window fills every clause still alive is evicted from
-    the arena — learned clauses spill byte-for-byte through a frozen
-    arena view ({!Proof.Clause_db.freeze}) into a temp file, originals
-    simply drop (the formula backs them).  Later references reload the
-    clause transiently for the one chain that needs it, so the arena
-    never holds more than the window size in learned clauses plus one
-    chain's operands.
+    the arena — learned clauses spill byte-for-byte from the store into
+    a temp file, originals simply drop (the formula backs them).  Later
+    references reload the clause transiently for the one chain that
+    needs it, so the arena never holds more than the window size in
+    learned clauses plus one chain's operands.
 
     The schedule is invisible to the checker proper: verdicts, cores
     (empty), built sets, resolution step counts and diagnostics are

@@ -5,17 +5,16 @@
     (how long did pass two take?), the journal remembers {e what
     happened, in order}: the last N notable events — solver restarts and
     learned-DB reductions, checker window spills and reloads, parser
-    slow-path bails, arena reservation fallbacks, wavefront barriers —
-    so a refusal, a stall or a crash can explain itself instead of
-    leaving a bare exit code.
+    slow-path bails, arena reservation fallbacks and growth — so a
+    refusal, a stall or a crash can explain itself instead of leaving a
+    bare exit code.
 
     The discipline mirrors {!Ctl}: when the journal is disarmed (the
     default), every recording site reduces to one mutable-bool load and
     a predictable branch — sites guard with [if Journal.on () then
     Journal.record ...], and [bench overhead] models the disabled-guard
-    cost next to the metrics guard.  Recording is unsynchronised by
-    design: entries may arrive from any domain, and a lost entry under
-    contention only perturbs the flight record, never a checked
+    cost next to the metrics guard.  Recording takes no lock by design:
+    a lost entry only perturbs the flight record, never a checked
     artifact.
 
     Dumps are {e deterministic}: an entry is a sequence number, a

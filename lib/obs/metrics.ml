@@ -116,42 +116,6 @@ let reset t =
             h.total <- 0.0)
         t.table)
 
-(* --- shards -------------------------------------------------------------- *)
-
-type shard = t
-
-let shard () = create ()
-let shard_counter = counter
-let shard_gauge = gauge
-let shard_histogram = histogram
-
-let merge_shard parent sh =
-  with_lock sh (fun () ->
-      Hashtbl.iter
-        (fun name m ->
-          match m with
-          | M_counter c ->
-            Counter.incr (counter parent name) c.count;
-            c.count <- 0
-          | M_gauge g ->
-            let pg = gauge parent name in
-            (* cross-domain gauges are high-water marks: keep the max *)
-            if g.high > pg.high then pg.high <- g.high;
-            if g.value > pg.value then pg.value <- g.value;
-            g.value <- 0.0;
-            g.high <- 0.0
-          | M_histogram h ->
-            let ph = histogram parent name in
-            for i = 0 to nbuckets - 1 do
-              ph.buckets.(i) <- ph.buckets.(i) + h.buckets.(i);
-              h.buckets.(i) <- 0
-            done;
-            ph.n <- ph.n + h.n;
-            ph.total <- ph.total +. h.total;
-            h.n <- 0;
-            h.total <- 0.0)
-        sh.table)
-
 (* --- export -------------------------------------------------------------- *)
 
 let sorted_items t =

@@ -1,14 +1,10 @@
 (** The metrics registry: named counters, gauges and log-scale
-    histograms, plus per-domain shards merged at barriers.
+    histograms.
 
     Handles are obtained once (typically at module initialisation — the
     registry exists whether or not telemetry is recording) and updated
     directly, so the hot path never touches the name table.  Updates are
     unsynchronised: a metric handle must have a single writer at a time.
-    Worker domains therefore never write to {!global} — they record into
-    a private {!shard} and the coordinating thread folds the shard in
-    with {!merge_shard} at a barrier, which is the lock-free discipline
-    the wavefront-parallel checker uses.
 
     Instrumentation sites are expected to guard updates with
     [Ctl.on ()]; the update functions themselves do not check, so tests
@@ -76,23 +72,6 @@ val histogram : t -> string -> histogram
     name table is kept, only values are cleared — so module-cached
     handles survive a reset between runs. *)
 val reset : t -> unit
-
-(** {2 Per-domain shards} *)
-
-(** A shard is a private registry owned by one domain: recording into it
-    takes no locks.  [merge_shard parent shard] folds the shard's values
-    into [parent] — counters and histograms add, gauges merge by
-    high-water mark — and zeroes the shard, so merging at every barrier
-    never double-counts.  Only the coordinating thread may call
-    [merge_shard], and only while the shard's owner is idle (i.e. at a
-    barrier). *)
-type shard
-
-val shard : unit -> shard
-val shard_counter : shard -> string -> counter
-val shard_gauge : shard -> string -> gauge
-val shard_histogram : shard -> string -> histogram
-val merge_shard : t -> shard -> unit
 
 (** {2 Export} *)
 

@@ -10,10 +10,10 @@
     [solver.conflicts_per_s] rate, and optionally prints a one-line
     heartbeat to stderr.
 
-    Ticks may arrive from any domain but sampling state is unsynchronised
-    by design: a lost or duplicated sample under contention only
-    perturbs the time-series, never the checked artifacts.  With no
-    interval configured, {!tick} is a no-op beyond its counter bump. *)
+    Sampling state is unsynchronised by design: a lost or duplicated
+    sample only perturbs the time-series, never the checked artifacts.
+    With no interval configured, {!tick} is a no-op beyond its counter
+    bump. *)
 
 (** [configure ~interval ~heartbeat ()] arms the sampler: a sample is
     taken roughly every [interval] seconds (non-positive disables);

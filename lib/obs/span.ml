@@ -18,9 +18,8 @@ type event = {
   e_seq : int; (* insertion order, the sort tiebreak *)
 }
 
-(* The timeline is shared across domains (parallel-checker workers record
-   wavefront replay spans); appends only happen when telemetry is on, so
-   the mutex is never touched on the disabled path. *)
+(* The timeline is process-wide; appends only happen when telemetry is
+   on, so the mutex is never touched on the disabled path. *)
 let lock = Mutex.create ()
 let events : event list ref = ref []
 let n_events = ref 0

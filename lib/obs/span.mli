@@ -1,7 +1,7 @@
 (** Monotonic-clock spans and the Chrome trace-event exporter.
 
-    A span brackets one phase of work (solve, a checker pass, a
-    wavefront, an encoder flush) with enter/leave timestamps from
+    A span brackets one phase of work (solve, a checker pass, an
+    encoder flush) with enter/leave timestamps from
     {!Ctl}'s monotone clock.  Completed spans accumulate in a
     process-wide timeline and export as a JSON array of Chrome
     "complete" ([ph = "X"]) events, which loads directly in
@@ -10,8 +10,8 @@
     Span naming convention (see DESIGN.md "Observability"):
     [<subsystem>.<phase>], with the category carrying the variant — e.g.
     [check.pass_one] with category [bf] vs [df].  The exporter sorts by
-    start timestamp, so timelines are stable for sequential runs and the
-    CI monotonicity check holds for parallel ones.
+    start timestamp, so timelines are stable and the CI monotonicity
+    check holds.
 
     When telemetry is off, {!enter} returns a static dummy and {!scope}
     tail-calls its body: one branch, no allocation. *)
@@ -19,7 +19,7 @@
 type span
 
 (** [enter ?cat ?args name] opens a span.  [args] (small integer
-    annotations, e.g. a wavefront width) are attached to the exported
+    annotations, e.g. a record count) are attached to the exported
     event.  Returns a no-op token when telemetry is off. *)
 val enter : ?cat:string -> ?args:(string * int) list -> string -> span
 

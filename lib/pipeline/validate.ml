@@ -2,7 +2,6 @@ type strategy =
   | Depth_first
   | Breadth_first
   | Hybrid
-  | Parallel of int  (* worker domains *)
   | Online
   | Hinted           (* native deletion hints + one-pass hinted check *)
   | Window of int    (* window-shifting BF with this window size *)
@@ -117,7 +116,6 @@ let run_buffered ?config ?format ~strategy ~analyze ~pre f =
             | Depth_first -> Checker.Df.check f source
             | Breadth_first -> Checker.Bf.check f source
             | Hybrid -> Checker.Hybrid.check f source
-            | Parallel jobs -> Checker.Par.check ~jobs f source
             | Hinted -> Checker.Hint.check f source
             | Window window -> Checker.Window.check ~window f source
             | Online -> assert false

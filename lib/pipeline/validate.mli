@@ -10,9 +10,6 @@ type strategy =
   | Depth_first
   | Breadth_first
   | Hybrid  (** the §5 future-work checker, see {!Checker.Hybrid} *)
-  | Parallel of int
-      (** wavefront-parallel BF with this many worker domains, see
-          {!Checker.Par} *)
   | Online
       (** tee the solver's live event stream into the linter and BF's
           pass-one ingest concurrently with solving; the reconstruction
@@ -27,7 +24,7 @@ type strategy =
   | Window of int
       (** window-shifting BF ({!Checker.Window}) with this window size:
           at most that many learned clauses are ever arena-resident,
-          boundary clauses spill through frozen arena views. *)
+          boundary clauses spill to a temp file. *)
 
 type verdict =
   | Sat_verified of Sat.Assignment.t

@@ -44,13 +44,12 @@ type t = {
 let make_arena n = Bigarray.Array1.create Bigarray.int Bigarray.c_layout n
 
 (* Virtual address space is cheap on 64-bit hosts: one large reservation
-   up front makes growth-by-relocation a cold path instead of a steady
-   doubling, which is what lets {!freeze} hand out stable views between
-   wavefront barriers.  The pages are untouched until the bump pointer
-   reaches them, so the reservation costs address space, not RSS; under a
-   tight [ulimit -v] the allocation itself can fail, in which case the
-   reservation halves until it fits (the doubling grower then covers the
-   rest, exactly as before). *)
+   up front makes growth-by-relocation (a full copy of the arena) a cold
+   path instead of a steady doubling.  The pages are untouched until the
+   bump pointer reaches them, so the reservation costs address space, not
+   RSS; under a tight [ulimit -v] the allocation itself can fail, in which
+   case the reservation halves until it fits (the doubling grower then
+   covers the rest). *)
 let default_reserve_words = 1 lsl 23 (* 8 Mi words = 64 MiB *)
 
 let min_reserve_words = 1024
@@ -229,38 +228,3 @@ let peak_live_clauses db = db.peak_live
 let clauses_allocated db = db.allocated
 let live_words db = db.resident
 let peak_words db = db.peak_resident
-
-(* A frozen view pins the arena region and the bump pointer at freeze
-   time.  Reads go straight to the shared region — no copies, no locks,
-   no GC traffic — which is safe under the wavefront discipline: workers
-   only read handles published before the freeze, and the coordinator
-   only allocates/releases between freezes.  A (rare) relocation of a
-   reservation-overflowing arena invalidates outstanding views, so the
-   coordinator re-freezes at every dispatch. *)
-type ro = {
-  ro_arena : arena;
-  ro_top : int;
-}
-
-let freeze db = { ro_arena = db.arena; ro_top = db.top }
-
-let check_frozen ro h =
-  if !debug && (h < 0 || h + header_words > ro.ro_top) then
-    raise (Use_after_free h)
-
-let ro_size ro h =
-  check_frozen ro h;
-  ro.ro_arena.{h}
-
-let ro_arena ro = ro.ro_arena
-
-let ro_lit ro h i : Sat.Lit.t = ro.ro_arena.{h + header_words + i}
-
-let ro_copy_lits ro h dst =
-  let n = ro_size ro h in
-  if Array.length dst < n then
-    invalid_arg "Clause_db.ro_copy_lits: destination too small";
-  for i = 0 to n - 1 do
-    Array.unsafe_set dst i ro.ro_arena.{h + header_words + i}
-  done;
-  n

@@ -48,8 +48,7 @@ val debug_enabled : unit -> bool
     them, and if the reservation itself does not fit (tight [ulimit -v])
     it halves until it does, after which the old doubling grower covers
     any overflow.  A store that stays within its reservation never
-    relocates, which is what keeps {!freeze}d views stable between
-    barriers.
+    relocates, so growth (a full copy of the arena) stays a cold path.
     @raise Invalid_argument when [mem_limit < 1]. *)
 val create : ?mem_limit:int -> ?reserve:int -> unit -> t
 
@@ -137,36 +136,3 @@ val clauses_allocated : t -> int
     resident in the arena (headers included, freelist slack excluded). *)
 val live_words : t -> int
 val peak_words : t -> int
-
-(** {2 Frozen read-only views}
-
-    A {!ro} view pins the arena region and its bump pointer at freeze
-    time so worker domains can read shared clauses in place — no
-    per-domain copies, no locks, no GC traffic.  The contract is the
-    wavefront barrier discipline: workers only read handles that were
-    live and published before {!freeze} was called, the coordinator only
-    allocates into or releases from the store while no worker holds the
-    view, and the view is re-frozen at every dispatch (a store that
-    outgrows its reservation relocates, which invalidates older views). *)
-
-type ro
-
-(** [freeze db] is a constant-time snapshot view of the store. *)
-val freeze : t -> ro
-
-(** [ro_size ro h] is the clause's literal count.  In debug mode a handle
-    past the frozen bump pointer raises {!Use_after_free}. *)
-val ro_size : ro -> handle -> int
-
-(** [ro_arena ro] is the frozen region, for in-place operand access as
-    with {!arena}. *)
-val ro_arena : ro -> arena
-
-(** [ro_lit ro h i] is the [i]-th literal (packed order), read directly
-    from the shared region. *)
-val ro_lit : ro -> handle -> int -> Sat.Lit.t
-
-(** [ro_copy_lits ro h dst] copies the clause's literals into
-    [dst.(0 .. n-1)] and returns [n], without allocating.
-    @raise Invalid_argument when [dst] is too small. *)
-val ro_copy_lits : ro -> handle -> int array -> int

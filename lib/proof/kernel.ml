@@ -178,7 +178,7 @@ let resolve_lits t ~context ~c1_id ~c2_id c1 c2 =
   (out, pivot)
 
 (* [peek t id] is the read-only id lookup: never materialises an original,
-   never mutates — the only table access worker domains are allowed. *)
+   never mutates. *)
 let peek t id = Idtab.find_opt t.handles id
 
 (* One telemetry update per completed chain: counters for the chain and
@@ -193,17 +193,6 @@ let observe_chain t ~nsources ~steps =
       (float_of_int (8 * Clause_db.live_words t.db));
     Obs.Sampler.tick ()
   end
-
-(* [record_external_chain] folds in the counter deltas of a chain the
-   parallel checker's workers replayed, so reports agree exactly with a
-   sequential run.  Single-threaded: call only at a barrier. *)
-let record_external_chain t ~learned_id ~steps ~merges =
-  t.built <- t.built + 1;
-  t.built_ids <- learned_id :: t.built_ids;
-  t.built_sorted <- None;
-  t.steps <- t.steps + steps;
-  t.merges <- t.merges + merges;
-  observe_chain t ~nsources:(steps + 1) ~steps
 
 let chain t ~context ~fetch ~combine ~learned_id ids =
   if Array.length ids = 0 then
@@ -594,7 +583,7 @@ let resolution_steps t = t.steps
 
 (* The built list is memoised: it is re-read per report, and an
    O(n log n) sort per call shows up on large traces.  The cache is
-   invalidated by {!chain} and {!record_external_chain}. *)
+   invalidated by {!chain}. *)
 let built_ids t =
   match t.built_sorted with
   | Some ids -> ids

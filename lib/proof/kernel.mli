@@ -20,9 +20,8 @@
     Every resolution the checkers perform enforces the paper's side
     condition — exactly one variable in opposite phases, no tautological
     resolvents — in one of two places: {!chain} folds a learned clause's
-    sources through a {!Resolvent} accumulator (so do the parallel
-    checker's workers, one accumulator per domain), and {!resolve} is
-    the pairwise step the empty-clause construction takes. *)
+    sources through a {!Resolvent} accumulator, and {!resolve} is the
+    pairwise step the empty-clause construction takes. *)
 
 type t
 
@@ -51,6 +50,10 @@ val defined : t -> int -> bool
     into the store on demand (and recorded in the unsat core).
     @raise Diagnostics.Check_failed with [Unknown_clause] otherwise. *)
 val find : t -> context:string -> int -> Clause_db.handle
+
+(** [peek t id] is the read-only id lookup: [None] when [id] is unbound,
+    never materialises an original clause, never mutates. *)
+val peek : t -> int -> Clause_db.handle option
 
 (** [release_id t id] drops the table's binding and its reference; a
     no-op when [id] is not bound (the clause was never stored or has
@@ -83,24 +86,6 @@ val resolve_lits :
   Sat.Lit.t array ->
   Sat.Lit.t array ->
   Sat.Lit.t array * Sat.Lit.var
-
-(** {2 Replay outside the kernel}
-
-    The parallel checker's worker domains replay chains in their own
-    {!Resolvent} accumulators while the shared store is read-only. *)
-
-(** [peek t id] is the read-only id lookup: [None] when [id] is unbound,
-    never materialises an original clause, never mutates.  The only id
-    table access allowed from a worker domain. *)
-val peek : t -> int -> Clause_db.handle option
-
-(** [record_external_chain t ~learned_id ~steps ~merges] folds the
-    counter deltas of one learned-clause chain replayed outside the
-    kernel into the kernel totals (one built clause, [steps]
-    resolutions, [merges] merged literals), keeping reports identical to
-    a sequential run.  Single-threaded: call only at a barrier. *)
-val record_external_chain :
-  t -> learned_id:int -> steps:int -> merges:int -> unit
 
 (** [chain t ~context ~fetch ~combine ~learned_id ids] folds checked
     resolution left-to-right over the clauses named by [ids], threading an
@@ -269,9 +254,9 @@ type counters = {
 val counters : t -> counters
 val resolution_steps : t -> int
 
-(** [built_ids t] is the sorted list of learned ids {!chain} (or
-    {!record_external_chain}) has built.  The sort is memoised and
-    invalidated on mutation, so per-report re-reads are O(1). *)
+(** [built_ids t] is the sorted list of learned ids {!chain} has built.
+    The sort is memoised and invalidated on mutation, so per-report
+    re-reads are O(1). *)
 val built_ids : t -> int list
 
 (** [core_ids t] is the sorted list of original clause ids materialised so

@@ -12,7 +12,7 @@
     Operands are read in place from a clause-store arena region, without
     a call per literal; the literal encoding is {!Sat.Lit}'s
     ([var * 2 + sign]).  An accumulator is single-owner state: one per
-    kernel, one per worker domain. *)
+    kernel. *)
 
 type arena = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -55,9 +55,6 @@ val merges : t -> int
     [dst.(0 .. length t - 1)] and returns [length t].
     @raise Invalid_argument when [dst] is too small. *)
 val blit : t -> int array -> int
-
-(** [to_array t] is the running resolvent as a fresh sorted array. *)
-val to_array : t -> Sat.Lit.t array
 
 (** [sort a n] sorts [a.(0 .. n-1)] ascending in place: the one int sort
     of the proof core, monomorphic (no comparison closure) and

@@ -112,7 +112,6 @@ let strategies :
     ( "BF temp-file",
       fun f src -> Checker.Bf.check ~counting:(`Temp_file 4096) f src );
     ("Hybrid", fun f src -> Checker.Hybrid.check f src);
-    ("Par j2", fun f src -> Checker.Par.check ~jobs:2 f src);
     ("Hint", fun f src -> Checker.Hint.check f src);
     ("Window 7", fun f src -> Checker.Window.check ~window:7 f src);
   ]

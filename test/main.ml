@@ -8,7 +8,7 @@ let () =
    @ Test_stream.suite
    @ Test_heap.suite @ Test_cdcl.suite @ Test_enumerate.suite
    @ Test_assumptions.suite @ Test_selector_core.suite @ Test_resolution.suite @ Test_level0.suite @ Test_df.suite
-   @ Test_bf.suite @ Test_hybrid.suite @ Test_par.suite
+   @ Test_bf.suite @ Test_hybrid.suite
    @ Test_hint.suite @ Test_window.suite
    @ Test_cross_checker.suite
    @ Test_rup.suite @ Test_lint.suite @ Test_dag.suite

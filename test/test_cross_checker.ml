@@ -3,10 +3,10 @@
    trace and their statistics must line up — BF builds exactly the total
    learned set, the hybrid's built set sandwiches between DF's and BF's,
    DF's unsat core is contained in the hybrid's, resolution-step counts
-   grow monotonically with the built sets, and the parallel wavefront
-   checker, the hinted one-pass checker (on the plain trace and on its
-   hinted rewrite) and the window scheduler at every window size are all
-   bit-identical to BF — a seven-way agreement matrix. *)
+   grow monotonically with the built sets, and the hinted one-pass
+   checker (on the plain trace and on its hinted rewrite) and the window
+   scheduler at every window size are all bit-identical to BF — a
+   six-way agreement matrix. *)
 
 let module_name = "cross-checker"
 
@@ -22,16 +22,9 @@ let matrix =
     ("DF", `Plain, fun f src -> Checker.Df.check f src);
     ("BF", `Plain, fun f src -> Checker.Bf.check f src);
     ("Hybrid", `Plain, fun f src -> Checker.Hybrid.check f src);
+    ("Hint", `Plain, fun f src -> Checker.Hint.check f src);
+    ("Hint/v2", `Hinted, fun f src -> Checker.Hint.check f src);
   ]
-  @ List.map
-      (fun jobs ->
-        (Printf.sprintf "Par j%d" jobs, `Plain,
-         fun f src -> Checker.Par.check ~jobs f src))
-      [ 1; 2; 4 ]
-  @ [
-      ("Hint", `Plain, fun f src -> Checker.Hint.check f src);
-      ("Hint/v2", `Hinted, fun f src -> Checker.Hint.check f src);
-    ]
   @ List.map
       (fun window ->
         (Printf.sprintf "Window %d" window, `Plain,
@@ -158,27 +151,6 @@ let check_instance ~round ~renumbered f trace =
     Alcotest.failf "round %d: df core not within hybrid core" round;
   Alcotest.check (Alcotest.list Alcotest.int) (ck "bf has no core") []
     bf.core_original_ids;
-  (* the parallel checker replays BF's schedule as wavefronts: identical
-     verdict, counters, built set and (empty) core at every job count *)
-  List.iter
-    (fun jobs ->
-      let pr = get (Printf.sprintf "Par j%d" jobs) in
-      let pk name = ck (Printf.sprintf "par j%d %s" jobs name) in
-      Alcotest.check Alcotest.int (pk "learned") bf.total_learned
-        pr.Checker.Report.total_learned;
-      Alcotest.check Alcotest.int (pk "built") bf.clauses_built
-        pr.Checker.Report.clauses_built;
-      Alcotest.check Alcotest.int (pk "steps") bf.resolution_steps
-        pr.Checker.Report.resolution_steps;
-      Alcotest.check (Alcotest.list Alcotest.int) (pk "built ids")
-        bf.learned_built_ids pr.Checker.Report.learned_built_ids;
-      Alcotest.check (Alcotest.list Alcotest.int) (pk "core") []
-        pr.Checker.Report.core_original_ids;
-      Alcotest.check Alcotest.int (pk "jobs echoed") jobs
-        pr.Checker.Report.jobs;
-      if pr.Checker.Report.total_learned > 0 && pr.Checker.Report.wavefronts < 1
-      then Alcotest.failf "%s: no wavefronts reported" (pk "wavefronts"))
-    [ 1; 2; 4 ];
   (* the hinted one-pass checker accepts a plain (version-1) trace too —
      it simply never frees — and must land exactly on BF's report *)
   let bf_identical name r =

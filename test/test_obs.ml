@@ -1,7 +1,6 @@
-(* Tests for the telemetry layer: histogram bucketing pins, shard
-   merging (including from real worker domains), span export validity,
-   and the layer's central invariant — checker reports are identical
-   with telemetry on and off.
+(* Tests for the telemetry layer: histogram bucketing pins, span export
+   validity, and the layer's central invariant — checker reports are
+   identical with telemetry on and off.
 
    The registry update functions deliberately do not check [Ctl.on], so
    most tests drive a private registry directly with telemetry disabled;
@@ -79,58 +78,6 @@ let test_kind_conflict () =
   Alcotest.check_raises "kind conflict"
     (Invalid_argument "Obs.Metrics: \"x\" is already registered as another kind")
     (fun () -> ignore (M.gauge t "x"))
-
-(* --- shard merging ------------------------------------------------------ *)
-
-let test_shard_merge () =
-  let t = M.create () in
-  let c = M.counter t "n" and g = M.gauge t "peak" in
-  let h = M.histogram t "width" in
-  M.Counter.incr c 5;
-  M.Gauge.set g 10.0;
-  M.Histogram.observe h 4;
-  let s = M.shard () in
-  let sc = M.shard_counter s "n" and sg = M.shard_gauge s "peak" in
-  let sh = M.shard_histogram s "width" in
-  M.Counter.incr sc 7;
-  M.Gauge.set sg 3.0;
-  M.Histogram.observe sh 4;
-  M.Histogram.observe sh 9;
-  M.merge_shard t s;
-  Alcotest.check Alcotest.int "counters add" 12 (M.Counter.get c);
-  Alcotest.check (Alcotest.float 0.0) "gauges keep high-water" 10.0
-    (M.Gauge.max_value g);
-  Alcotest.check Alcotest.int "histogram counts add" 3 (M.Histogram.count h);
-  Alcotest.check
-    Alcotest.(list (pair int int))
-    "histogram buckets add" [ (3, 2); (4, 1) ]
-    (M.Histogram.buckets h);
-  (* merging zeroes the shard, so a second merge cannot double-count *)
-  M.merge_shard t s;
-  Alcotest.check Alcotest.int "merge is move, not copy" 12 (M.Counter.get c);
-  (* a shard gauge above the parent's high-water does raise it *)
-  M.Gauge.set sg 99.0;
-  M.merge_shard t s;
-  Alcotest.check (Alcotest.float 0.0) "higher shard gauge wins" 99.0
-    (M.Gauge.max_value g)
-
-let test_shard_merge_cross_domain () =
-  let t = M.create () in
-  let c = M.counter t "done" in
-  let shards = Array.init 4 (fun _ -> M.shard ()) in
-  let worker s () =
-    let sc = M.shard_counter s "done" in
-    for _ = 1 to 1000 do
-      M.Counter.incr sc 1
-    done
-  in
-  let domains =
-    Array.map (fun s -> Domain.spawn (worker s)) shards
-  in
-  Array.iter Domain.join domains;
-  (* all workers are at the barrier (joined): fold their shards in *)
-  Array.iter (M.merge_shard t) shards;
-  Alcotest.check Alcotest.int "all increments land" 4000 (M.Counter.get c)
 
 (* --- span export -------------------------------------------------------- *)
 
@@ -214,7 +161,6 @@ let test_reports_identical_on_off () =
       (Pipeline.Validate.Depth_first, "df");
       (Pipeline.Validate.Breadth_first, "bf");
       (Pipeline.Validate.Hybrid, "hybrid");
-      (Pipeline.Validate.Parallel 2, "par");
       (Pipeline.Validate.Online, "online");
     ]
 
@@ -401,9 +347,6 @@ let suite =
         Alcotest.test_case "counter/gauge/reset" `Quick
           test_counter_gauge_reset;
         Alcotest.test_case "metric kind conflict" `Quick test_kind_conflict;
-        Alcotest.test_case "shard merge" `Quick test_shard_merge;
-        Alcotest.test_case "shard merge cross-domain" `Quick
-          test_shard_merge_cross_domain;
         Alcotest.test_case "span export" `Quick test_span_export;
         Alcotest.test_case "spans silent when off" `Quick
           test_span_off_is_silent;

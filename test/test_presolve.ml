@@ -8,7 +8,7 @@
    - fuzzed equisatisfiability of the pre pipeline against the plain
      solver, with SAT models reconstructed and re-verified against the
      original formula and UNSAT traces re-checked;
-   - the seven-strategy agreement matrix on preprocessed runs over three
+   - the six-strategy agreement matrix on preprocessed runs over three
      structured families and both trace encodings, with unsat cores
      pinned to original DIMACS clause indices;
    - lint-clean acceptance for generated pre traces (plain and hinted);
@@ -158,7 +158,7 @@ let fuzz_pre_roundtrip ?config ~instance ~rounds ~min_unsat () =
   if !unsat_seen < min_unsat then
     Alcotest.failf "only %d unsat instances fuzzed" !unsat_seen
 
-(* --- seven-strategy agreement matrix over structured families ------------ *)
+(* --- six-strategy agreement matrix over structured families -------------- *)
 
 let families () =
   [
@@ -174,7 +174,6 @@ let strategies ~window =
     ("df", Pipeline.Validate.Depth_first);
     ("bf", Pipeline.Validate.Breadth_first);
     ("hybrid", Pipeline.Validate.Hybrid);
-    ("par", Pipeline.Validate.Parallel 2);
     ("online", Pipeline.Validate.Online);
     ("hint", Pipeline.Validate.Hinted);
     ("window", Pipeline.Validate.Window window);
@@ -414,7 +413,7 @@ let suite =
                  sanitize = true;
                }
              ~instance:threshold_instance ~rounds:30 ~min_unsat:5);
-        Alcotest.test_case "pre agreement matrix 3x2x7" `Quick
+        Alcotest.test_case "pre agreement matrix 3x2x6" `Quick
           test_pre_strategy_matrix;
         Alcotest.test_case "pre core indices original" `Quick
           test_pre_core_extract;
