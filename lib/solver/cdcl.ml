@@ -120,8 +120,7 @@ type t = {
   mutable n_levels : int;                   (* decision level *)
   mutable qhead : int;
   activity : float array;                   (* per var: VSIDS score *)
-  mutable var_inc : float;
-  mutable cla_inc : float;
+  incs : float array;                       (* [var_inc] and [cla_inc] slots *)
   order : Heap.t;
   phase : Bytes.t;                          (* per var: saved polarity *)
   seen : Bytes.t;                           (* per var: conflict-analysis mark *)
@@ -303,30 +302,37 @@ let backtrack s lvl =
 
 (* --- VSIDS -------------------------------------------------------------- *)
 
+(* The two bump increments live in [s.incs], a float array, which stores
+   them unboxed: as mutable float fields of the state record, every decay
+   would box a fresh float and store it through the write barrier.  The
+   caller re-sifts the bumped variable in the heap, so these four make no
+   call at all. *)
+let var_inc = 0
+let cla_inc = 1
+
 let var_bump s v =
-  s.activity.(v) <- s.activity.(v) +. s.var_inc;
+  s.activity.(v) <- s.activity.(v) +. s.incs.(var_inc);
   if s.activity.(v) > 1e100 then begin
     for u = 1 to s.nvars do
       s.activity.(u) <- s.activity.(u) *. 1e-100
     done;
-    s.var_inc <- s.var_inc *. 1e-100
-  end;
-  Heap.update s.order v
+    s.incs.(var_inc) <- s.incs.(var_inc) *. 1e-100
+  end
 
-let var_decay s = s.var_inc <- s.var_inc /. s.cfg.var_decay
+let var_decay s = s.incs.(var_inc) <- s.incs.(var_inc) /. s.cfg.var_decay
 
 let cla_bump s cid =
-  let a = s.cact.(cid) +. s.cla_inc in
+  let a = s.cact.(cid) +. s.incs.(cla_inc) in
   s.cact.(cid) <- a;
   if a > 1e20 then begin
     for i = 0 to s.n_learnts - 1 do
       let c = s.learnts.(i) in
       s.cact.(c) <- s.cact.(c) *. 1e-20
     done;
-    s.cla_inc <- s.cla_inc *. 1e-20
+    s.incs.(cla_inc) <- s.incs.(cla_inc) *. 1e-20
   end
 
-let cla_decay s = s.cla_inc <- s.cla_inc /. 0.999
+let cla_decay s = s.incs.(cla_inc) <- s.incs.(cla_inc) /. 0.999
 
 (* --- conflict analysis (paper Figure 2, 1UIP stop criterion) ----------- *)
 
@@ -377,6 +383,7 @@ let analyze s confl_cid =
         if Bytes.get s.seen v = '\000' && s.level.(v) > 0 then begin
           Bytes.set s.seen v '\001';
           var_bump s v;
+          Heap.update s.order v;
           if s.level.(v) >= cur_level then incr path_count
           else begin
             lbuf.(!n) <- q;
@@ -1017,8 +1024,7 @@ let make_state cfg tracer nvars =
     n_levels = 0;
     qhead = 0;
     activity;
-    var_inc = 1.0;
-    cla_inc = 1.0;
+    incs = [| 1.0; 1.0 |];
     order;
     phase = Bytes.make (nvars + 1) '\000';
     seen = Bytes.make (nvars + 1) '\000';
