@@ -2,7 +2,6 @@ type peaks = {
   df : int;
   bf : int;
   hybrid : int;
-  par : int;
   online : int;
 }
 
@@ -434,7 +433,6 @@ let finish_internal ?end_pos t =
              df = reachable_learned;
              bf = bf_peak;
              hybrid = hybrid_peak;
-             par = bf_peak;
              online = bf_peak;
            }
          in
@@ -836,11 +834,10 @@ let pp fmt p =
      %.1f@,"
     p.lifetime_max p.lifetime_mean p.first_gap_max p.first_gap_mean;
   Format.fprintf fmt
-    "predicted peak live: df %d, bf %d, hybrid %d, par %d, online %d; \
-     warnings %s"
+    "predicted peak live: df %d, bf %d, hybrid %d, online %d; warnings %s"
     p.predicted_peak_live.df p.predicted_peak_live.bf
-    p.predicted_peak_live.hybrid p.predicted_peak_live.par
-    p.predicted_peak_live.online (warning_summary p)
+    p.predicted_peak_live.hybrid p.predicted_peak_live.online
+    (warning_summary p)
 
 let hist_json h =
   let buf = Buffer.create 64 in
@@ -866,7 +863,7 @@ let to_json p =
      \"fanin\":{\"max\":%d,\"total_arcs\":%d},\
      \"lifetime\":{\"max\":%d,\"mean\":%s,\"buckets\":%s},\
      \"first_use_gap\":{\"max\":%d,\"mean\":%s},\
-     \"predicted_peak_live\":{\"df\":%d,\"bf\":%d,\"hybrid\":%d,\"par\":%d,\
+     \"predicted_peak_live\":{\"df\":%d,\"bf\":%d,\"hybrid\":%d,\
      \"online\":%d},\
      \"warnings\":%d,\"dropped\":%d,\"by_code\":%s,\"diagnostics\":%s}"
     (if p.binary then "binary" else "ascii")
@@ -877,7 +874,7 @@ let to_json p =
     p.total_arcs p.lifetime_max (f p.lifetime_mean) (hist_json p.lifetime_hist)
     p.first_gap_max (f p.first_gap_mean) p.predicted_peak_live.df
     p.predicted_peak_live.bf p.predicted_peak_live.hybrid
-    p.predicted_peak_live.par p.predicted_peak_live.online p.warnings p.dropped
+    p.predicted_peak_live.online p.warnings p.dropped
     (Lint.by_code_json p.by_code)
     (Lint.diagnostics_json p.diagnostics)
 

@@ -26,13 +26,11 @@
     every clause it builds (the core-reachable set); [bf] rebuilds all
     learned clauses and frees each after its last use; [hybrid] does the
     bf sweep restricted to core-reachable clauses with uses recounted
-    among them; [par] levels within one window of sequential bf and
-    [online] is bf fed live, so both share bf's schedule. *)
+    among them; [online] is bf fed live, so it shares bf's schedule. *)
 type peaks = {
   df : int;
   bf : int;
   hybrid : int;
-  par : int;
   online : int;
 }
 

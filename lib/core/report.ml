@@ -8,9 +8,6 @@ type t = {
   peak_mem_words : int;
   peak_live_clauses : int;
   arena_bytes_resident : int;
-  jobs : int;
-  wavefronts : int;
-  max_wavefront_width : int;
 }
 
 let built_ratio r =
@@ -21,17 +18,12 @@ let pp fmt r =
   Format.fprintf fmt
     "@[<v>clauses built: %d / %d (%.1f%%)@,resolution steps: %d@,core: %d \
      clauses over %d variables@,peak memory: %d words@,peak live clauses: \
-     %d (%d arena bytes)"
+     %d (%d arena bytes)@]"
     r.clauses_built r.total_learned
     (100.0 *. built_ratio r)
     r.resolution_steps
     (List.length r.core_original_ids)
-    r.core_vars r.peak_mem_words r.peak_live_clauses r.arena_bytes_resident;
-  (* the parallel checker's schedule shape *)
-  if r.wavefronts > 0 then
-    Format.fprintf fmt "@,wavefronts: %d (max width %d, %d jobs)"
-      r.wavefronts r.max_wavefront_width r.jobs;
-  Format.fprintf fmt "@]"
+    r.core_vars r.peak_mem_words r.peak_live_clauses r.arena_bytes_resident
 
 (* Byte-identical across runs and with telemetry on/off — the identity
    cram test diffs exactly this output. *)
@@ -61,10 +53,6 @@ let to_json r =
     (Printf.sprintf ",\n\"core_vars\":%d,\n\"peak_mem_words\":%d,\n"
        r.core_vars r.peak_mem_words);
   Buffer.add_string buf
-    (Printf.sprintf "\"peak_live_clauses\":%d,\n\"arena_bytes_resident\":%d,\n"
+    (Printf.sprintf "\"peak_live_clauses\":%d,\n\"arena_bytes_resident\":%d\n}"
        r.peak_live_clauses r.arena_bytes_resident);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "\"jobs\":%d,\n\"wavefronts\":%d,\n\"max_wavefront_width\":%d\n}"
-       r.jobs r.wavefronts r.max_wavefront_width);
   Buffer.contents buf

@@ -28,15 +28,6 @@ type t = {
       (** most clauses simultaneously live in the shared clause store *)
   arena_bytes_resident : int;
       (** peak clause-store arena residency, in bytes *)
-  jobs : int;
-      (** worker domains that replayed resolutions — 1 for the
-          sequential checkers *)
-  wavefronts : int;
-      (** topological levels the parallel schedule replayed; 0 for the
-          sequential checkers *)
-  max_wavefront_width : int;
-      (** learned clauses in the widest wavefront — an upper bound on
-          exploitable parallelism; 0 for the sequential checkers *)
 }
 
 (** [built_ratio r] is Table 2's "Built%" — constructed learned clauses
