@@ -1,5 +1,3 @@
-type counting = [ `In_memory | `Temp_file of int (* chunk size *) ]
-
 (* Incremental pass-one ingest: the validating/counting pass fed one
    event at a time, so it can sit behind a {!Trace.Sink.t} and consume
    the solver's live event stream (online validation) as well as a
@@ -12,11 +10,10 @@ type ingest = {
   uses : Driver.uses;
   stream : Proof.Kernel.stream;
   l0 : Proof.Level0.t;
-  count_in_memory : bool;
   mutable failed : Proof.Diagnostics.failure option;
 }
 
-let make_ingest ?mem_limit ~count_in_memory formula =
+let make_ingest ?mem_limit formula =
   let kernel = Proof.Kernel.create ?mem_limit formula in
   let l0 = Proof.Level0.create () in
   {
@@ -24,11 +21,10 @@ let make_ingest ?mem_limit ~count_in_memory formula =
     uses = Driver.uses kernel;
     stream = Proof.Kernel.stream_start kernel ~stream_order:true ~l0 ();
     l0;
-    count_in_memory;
     failed = None;
   }
 
-let ingest formula = make_ingest ~count_in_memory:true formula
+let ingest formula = make_ingest formula
 
 let ingest_failed g = g.failed
 
@@ -37,7 +33,7 @@ let ingest_event g e =
     try
       Proof.Kernel.stream_feed g.stream e;
       (* a hint never gets here: stream_feed refuses it first *)
-      if g.count_in_memory then Driver.count_uses g.uses e
+      Driver.count_uses g.uses e
     with Proof.Diagnostics.Check_failed f -> g.failed <- Some f
 
 let ingest_sink g = Trace.Sink.make (ingest_event g)
@@ -57,12 +53,9 @@ let pass_two ?format ?io g source =
 let finish ?format ?io g source =
   Driver.run (fun () -> pass_two ?format ?io g source)
 
-let check ?mem_limit ?format ?io ?(counting = `In_memory) ?first_pass
-    formula source =
-  let g =
-    make_ingest ?mem_limit ~count_in_memory:(counting = `In_memory) formula
-  in
-  Driver.run ~cleanup:(fun () -> Driver.remove_file g.uses) @@ fun () ->
+let check ?mem_limit ?format ?io ?first_pass formula source =
+  let g = make_ingest ?mem_limit formula in
+  Driver.run @@ fun () ->
   (* pass one: validate record shape / stream order and count uses;
      ingest records the first violation, so draining stops there *)
   Driver.pass_one ~cat:"bf" (Driver.source ?format ?io ?first_pass source)
@@ -76,14 +69,4 @@ let check ?mem_limit ?format ?io ?(counting = `In_memory) ?first_pass
           | None -> ()
       in
       drain ());
-  (match counting with
-   | `In_memory -> ()
-   | `Temp_file _ when g.failed <> None ->
-     (* pass two reports the failure before it reads a count; the
-        counting passes would scale with the largest id a record names *)
-     ()
-   | `Temp_file chunk ->
-     (* the paper's chunked counting passes re-read the trace from its
-        re-readable source; only now is a spooled stream complete *)
-     Driver.count_to_file g.uses ~chunk ?format ?io source);
   pass_two ?format ?io g source

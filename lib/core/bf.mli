@@ -13,25 +13,17 @@
     around 2x, but a small bounded footprint; it finishes the instances
     where depth-first dies).
 
-    The use counts are the paper's temporary file.  [`In_memory] (the
-    default) keeps them in a hash table, uncharged to the simulated
-    account; [`Temp_file chunk] reproduces the paper's implementation
-    literally — the counting pass is broken into chunks of [chunk] clause
-    IDs, each chunk's counts are written to a real temporary file on
-    disk, and during the resolution pass a clause's total count is read
-    back from the file when the clause is constructed, so main memory
-    holds counters only for clauses that are currently alive ("we may
-    also need to break the first pass into several passes so that we can
-    count the number of usages of the clauses in one range at a time"). *)
-
-type counting = [ `In_memory | `Temp_file of int (* chunk size *) ]
+    The use counts stand in for the paper's temporary file.  They live
+    in memory, in the driver's id table ({!Driver.uses}), uncharged to
+    the simulated account: one counter per clause id the trace defines
+    or names, so the table is bounded by the input. *)
 
 (** [check ?first_pass f source] validates the trace.  Pass one pulls
     from [first_pass] when given (a single-shot stream — a tee of a live
     pipe, say) and from a fresh cursor over [source] otherwise; it is
-    closed once drained.  Pass two (and temp-file counting) always
-    re-reads [source], so when pass one came from a pipe, [source] must
-    be a spooled copy of the same bytes.  [format] forces the encoding
+    closed once drained.  Pass two always re-reads [source], so when
+    pass one came from a pipe, [source] must be a spooled copy of the
+    same bytes.  [format] forces the encoding
     on every cursor the check opens (needed for magic-less binary
     traces, which auto-detection cannot classify); [io] selects the
     file backing for every cursor the check opens (default [`Auto]:
@@ -40,7 +32,6 @@ val check :
   ?mem_limit:int ->
   ?format:Trace.Writer.format ->
   ?io:Trace.Reader.io ->
-  ?counting:counting ->
   ?first_pass:Trace.Source.t ->
   Sat.Cnf.t ->
   Trace.Reader.source ->

@@ -73,33 +73,14 @@ let report ?(core = false) k ~total_learned =
 
 (* --- use counts ----------------------------------------------------------- *)
 
-(* In temp-file mode [counts] caches only the counters of clauses alive
-   in the store; every other total is read back from the file. *)
-type uses = {
-  counts : int Proof.Idtab.t;
-  mutable file : (string * in_channel) option;
-}
+type uses = int Proof.Idtab.t
 
-let uses k =
-  { counts = Proof.Idtab.create (Proof.Kernel.id_range k); file = None }
-
-let read_count ic id =
-  seek_in ic (4 * id);
-  let b0 = input_byte ic in
-  let b1 = input_byte ic in
-  let b2 = input_byte ic in
-  let b3 = input_byte ic in
-  b0 lor (b1 lsl 8) lor (b2 lsl 16) lor (b3 lsl 24)
+let uses k = Proof.Idtab.create (Proof.Kernel.id_range k)
 
 let count u id =
-  match Proof.Idtab.find u.counts id with
-  | n -> n
-  | exception Not_found -> (
-    match u.file with
-    | None -> 0
-    | Some (_, ic) -> ( try read_count ic id with End_of_file -> 0))
+  match Proof.Idtab.find u id with n -> n | exception Not_found -> 0
 
-let add_use u id = Proof.Idtab.replace u.counts id (1 + count u id)
+let add_use u id = Proof.Idtab.replace u id (1 + count u id)
 
 let count_uses u = function
   | Trace.Event.Learned l -> Array.iter (add_use u) l.sources
@@ -112,64 +93,11 @@ let drop u id =
   match count u id with
   | 0 -> false
   | 1 ->
-    Proof.Idtab.remove u.counts id;
+    Proof.Idtab.remove u id;
     true
   | n ->
-    Proof.Idtab.replace u.counts id (n - 1);
+    Proof.Idtab.replace u id (n - 1);
     false
-
-(* Stream the trace once per chunk of the id space, accumulate that
-   chunk's counts in a bounded slab, and append the slab to the file. *)
-let count_to_file u ~chunk ?format ?io source =
-  let chunk = max 1 chunk in
-  let cur = Trace.Reader.cursor ?format ?io source in
-  Fun.protect ~finally:(fun () -> Trace.Reader.close cur) @@ fun () ->
-  let each_use f =
-    Trace.Reader.rewind cur;
-    Trace.Reader.iter_cursor cur (function
-      | Trace.Event.Learned l -> Array.iter f l.sources
-      | Trace.Event.Level0 v -> f v.ante
-      | Trace.Event.Final_conflict id -> f id
-      | Trace.Event.Header _ | Trace.Event.Delete _ -> ())
-  in
-  (* counts are read only for ids a learned record names, as its own id
-     or as a source: a level-0 antecedent or final conflict past them
-     names no clause, and the file need not reach it *)
-  let max_id = ref 0 in
-  Trace.Reader.rewind cur;
-  Trace.Reader.iter_cursor cur (function
-    | Trace.Event.Learned l ->
-      max_id := Array.fold_left max (max !max_id l.id) l.sources
-    | Trace.Event.Header _ | Trace.Event.Level0 _
-    | Trace.Event.Final_conflict _ | Trace.Event.Delete _ -> ());
-  let path = Filename.temp_file "bf_counts" ".bin" in
-  u.file <- Some (path, open_in_bin path);
-  let oc = open_out_bin path in
-  Fun.protect ~finally:(fun () -> close_out_noerr oc) @@ fun () ->
-  let slab = Array.make chunk 0 in
-  let lo = ref 0 in
-  while !lo <= !max_id do
-    Array.fill slab 0 chunk 0;
-    let hi = !lo + chunk in
-    each_use (fun id ->
-        if id >= !lo && id < hi then slab.(id - !lo) <- slab.(id - !lo) + 1);
-    Array.iter
-      (fun n ->
-        output_byte oc (n land 0xff);
-        output_byte oc ((n lsr 8) land 0xff);
-        output_byte oc ((n lsr 16) land 0xff);
-        output_byte oc ((n lsr 24) land 0xff))
-      slab;
-    lo := hi
-  done
-
-let remove_file u =
-  match u.file with
-  | Some (path, ic) ->
-    u.file <- None;
-    close_in_noerr ic;
-    (try Sys.remove path with Sys_error _ -> ())
-  | None -> ()
 
 let mark_needed u ~defs ~antes conflict_id =
   add_use u conflict_id;
@@ -204,11 +132,7 @@ let rebuild k u ~context ?(needed_only = false) ?fetch ?drained
         let h =
           Proof.Kernel.chain_ids k ~context ~fetch ~learned_id:l.id l.sources
         in
-        if n > 0 then begin
-          Proof.Kernel.define k l.id h;
-          (* temp-file mode: cache the counter while the clause is alive *)
-          if Option.is_some u.file then Proof.Idtab.replace u.counts l.id n
-        end
+        if n > 0 then Proof.Kernel.define k l.id h
         else Proof.Clause_db.release (Proof.Kernel.db k) h;
         Array.iter (fun s -> if drop u s then drained s) l.sources;
         on_record l.id

@@ -64,10 +64,9 @@ val report : ?core:bool -> Proof.Kernel.t -> total_learned:int -> Report.t
 
 (** {2 Use counts}
 
-    The paper's "temporary file": how many times each clause is still
-    to be used, so a clause is released the moment its last use drains.
-    In memory by default; {!count_to_file} moves the totals into a real
-    temp file, keeping in memory only the counters of live clauses. *)
+    The paper's "temporary file", kept in memory: how many times each
+    clause is still to be used, so a clause is released the moment its
+    last use drains. *)
 
 type uses
 
@@ -78,23 +77,6 @@ val uses : Proof.Kernel.t -> uses
 (** [count_uses u e] records one use of every clause [e] references:
     resolve sources, level-0 antecedents and the final conflict. *)
 val count_uses : uses -> Trace.Event.t -> unit
-
-(** [count_to_file u ~chunk source] counts [source]'s uses into a temp
-    file, one streaming pass per [chunk] clause ids (the paper's
-    multi-pass counting), and switches [u] to read totals from it.  The
-    file holds 4 bytes per id up to the largest id a learned record
-    names (its own or a source); a larger id counts 0. *)
-val count_to_file :
-  uses ->
-  chunk:int ->
-  ?format:Trace.Writer.format ->
-  ?io:Trace.Reader.io ->
-  Trace.Reader.source ->
-  unit
-
-(** [remove_file u] closes and deletes {!count_to_file}'s temp file, if
-    any. *)
-val remove_file : uses -> unit
 
 (** [mark_needed u ~defs ~antes conflict_id] counts, into [u], every use
     of a clause reachable from the final conflict — the conflict, each

@@ -10,8 +10,9 @@ type t = {
   mutable built : int;
   mutable steps : int;
   mutable merges : int;
-  mutable scratch : int array;                  (* merge output buffer *)
+  mutable scratch : int array;                  (* chain result buffer *)
   acc : Resolvent.t;                            (* chain's running resolvent *)
+  final_acc : Resolvent.t;                      (* final_chain's: fetch chains *)
 }
 
 (* Telemetry handles, resolved once.  The kernel updates them at chain
@@ -44,7 +45,8 @@ let create ?mem_limit formula =
     steps = 0;
     merges = 0;
     scratch = Array.make 64 0;
-    acc = Resolvent.create (Sat.Cnf.nvars formula);
+    acc = Resolvent.create ();
+    final_acc = Resolvent.create ();
   }
 
 let db t = t.db
@@ -78,104 +80,9 @@ let release_id t id =
 
 (* --- resolution -------------------------------------------------------- *)
 
-let phase_bit l = if Sat.Lit.is_neg l then 2 else 1
-let swap_mask m = ((m land 1) lsl 1) lor ((m lsr 1) land 1)
-
-(* Both operands are sorted duplicate-free packed-literal runs, so both
-   phases of a variable sit adjacently and one linear merge walk finds the
-   clashing variables: a variable whose phase masks overlap crosswise. *)
-let clashing_vars t h1 h2 =
-  let db = t.db in
-  let n1 = Clause_db.size db h1 and n2 = Clause_db.size db h2 in
-  let clashes = ref [] in
-  let i = ref 0 and j = ref 0 in
-  let var_mask h n r =
-    let v = Sat.Lit.var (Clause_db.lit db h !r) in
-    let m = ref 0 in
-    while !r < n && Sat.Lit.var (Clause_db.lit db h !r) = v do
-      m := !m lor phase_bit (Clause_db.lit db h !r);
-      incr r
-    done;
-    (v, !m)
-  in
-  while !i < n1 && !j < n2 do
-    let v1 = Sat.Lit.var (Clause_db.lit db h1 !i)
-    and v2 = Sat.Lit.var (Clause_db.lit db h2 !j) in
-    if v1 < v2 then ignore (var_mask h1 n1 i)
-    else if v2 < v1 then ignore (var_mask h2 n2 j)
-    else begin
-      let _, m1 = var_mask h1 n1 i in
-      let _, m2 = var_mask h2 n2 j in
-      if m1 land swap_mask m2 <> 0 then clashes := v1 :: !clashes
-    end
-  done;
-  List.rev !clashes
-
 let ensure_scratch t n =
   if Array.length t.scratch < n then
     t.scratch <- Array.make (max n (2 * Array.length t.scratch)) 0
-
-let resolve t ~context ~c1_id ~c2_id h1 h2 =
-  let db = t.db in
-  let pivot =
-    match clashing_vars t h1 h2 with
-    | [ v ] -> v
-    | [] ->
-      Diagnostics.fail
-        (Diagnostics.No_clash
-           { context; c1_id; c2_id;
-             c1 = Clause_db.lits db h1; c2 = Clause_db.lits db h2 })
-    | vars ->
-      Diagnostics.fail
-        (Diagnostics.Multiple_clash { context; c1_id; c2_id; vars })
-  in
-  let n1 = Clause_db.size db h1 and n2 = Clause_db.size db h2 in
-  ensure_scratch t (n1 + n2);
-  let out = t.scratch in
-  let k = ref 0 and i = ref 0 and j = ref 0 in
-  let emit l =
-    if Sat.Lit.var l <> pivot then begin
-      out.(!k) <- l;
-      incr k
-    end
-  in
-  while !i < n1 && !j < n2 do
-    let l1 = Clause_db.lit db h1 !i and l2 = Clause_db.lit db h2 !j in
-    if l1 = l2 then begin
-      emit l1;
-      if Sat.Lit.var l1 <> pivot then t.merges <- t.merges + 1;
-      incr i;
-      incr j
-    end
-    else if l1 < l2 then begin
-      emit l1;
-      incr i
-    end
-    else begin
-      emit l2;
-      incr j
-    end
-  done;
-  while !i < n1 do
-    emit (Clause_db.lit db h1 !i);
-    incr i
-  done;
-  while !j < n2 do
-    emit (Clause_db.lit db h2 !j);
-    incr j
-  done;
-  t.steps <- t.steps + 1;
-  (Clause_db.alloc_sorted db out !k, pivot)
-
-let resolve_lits t ~context ~c1_id ~c2_id c1 c2 =
-  let h1 = Clause_db.alloc t.db c1 in
-  let h2 = Clause_db.alloc t.db c2 in
-  let r, pivot = resolve t ~context ~c1_id ~c2_id h1 h2 in
-  let out = Clause_db.lits t.db r in
-  Clause_db.release t.db r;
-  Clause_db.release t.db h1;
-  Clause_db.release t.db h2;
-  (out, pivot)
 
 (* [peek t id] is the read-only id lookup: never materialises an original,
    never mutates. *)
@@ -365,7 +272,6 @@ let stream_pass t ?stream_order ?l0 ?charge ?on_event src =
 
 type proof = {
   sources : int array Idtab.t;
-  defs : (int * int array) array;
   l0 : Level0.t;
   final_conflict : int option;
   total_learned : int;
@@ -373,20 +279,16 @@ type proof = {
 
 let load t ?(stream_order = false) ?(charge = `None) src =
   let sources = Idtab.create t.ids in
-  let defs = ref [] in
   let l0 = Level0.create () in
   let pass =
     stream_pass t ~stream_order ~l0 ~charge
       ~on_event:(function
-        | Trace.Event.Learned l ->
-          Idtab.replace sources l.id l.sources;
-          defs := (l.id, l.sources) :: !defs
+        | Trace.Event.Learned l -> Idtab.replace sources l.id l.sources
         | _ -> ())
       src
   in
   {
     sources;
-    defs = Array.of_list (List.rev !defs);
     l0;
     final_conflict = pass.final_conflict;
     total_learned = pass.total_learned;
@@ -506,23 +408,28 @@ let build b root =
 let context_final = "empty-clause construction"
 
 let final_chain t ~l0 ~fetch ~combine ~conflict_id =
-  let db = t.db in
+  let db = t.db and acc = t.final_acc in
   let h0, a0 = fetch conflict_id in
   Clause_db.iter_lits db h0 (fun l ->
       if not (Level0.lit_false l0 l) then
         Diagnostics.fail
           (Diagnostics.Final_literal_not_false
              { clause_id = conflict_id; lit = l }));
-  let cur = ref h0 and ann = ref a0 in
-  let cur_id = ref conflict_id in
-  let owned = ref false in
-  let steps = ref 0 in
-  while Clause_db.size db !cur > 0 do
+  Resolvent.start acc (Clause_db.arena db) (Clause_db.offset h0)
+    (Clause_db.size db h0);
+  let ann = ref a0 and cur_id = ref conflict_id in
+  (* the length booked for the running resolvent; -1 while it is still
+     the conflict clause, which the store already holds *)
+  let booked = ref (-1) and steps = ref 0 in
+  while Resolvent.length acc > 0 do
     (* reverse chronological choice: the literal whose variable was
        assigned last — the paper's choose_literal, which guarantees
-       termination in at most n resolutions *)
+       termination in at most n resolutions.  Every literal has a level-0
+       record (the conflict's were checked false, each antecedent's by
+       [check_antecedent]) and orders are distinct, so the deepest
+       variable is unique in whatever order [iter] visits. *)
     let v = ref (-1) and best = ref (-1) in
-    Clause_db.iter_lits db !cur (fun l ->
+    Resolvent.iter acc (fun l ->
         let u = Sat.Lit.var l in
         let o = Level0.order l0 u in
         if o > !best then begin
@@ -537,21 +444,28 @@ let final_chain t ~l0 ~fetch ~combine ~conflict_id =
      | Some reason ->
        Diagnostics.fail
          (Diagnostics.Antecedent_mismatch { var = v; ante = ante_id; reason }));
-    let r, pivot =
-      resolve t ~context:context_final ~c1_id:!cur_id ~c2_id:ante_id !cur ha
+    (* the arena is read after [fetch], which may have grown it *)
+    let pivot =
+      Resolvent.step acc ~context:context_final ~c1_id:!cur_id ~c2_id:ante_id
+        (Clause_db.arena db) (Clause_db.offset ha) (Clause_db.size db ha)
     in
+    t.merges <- t.merges + Resolvent.merges acc;
+    (* each resolvent, the empty clause included, is booked as if
+       allocated before the one it replaces is credited *)
+    let len = Resolvent.length acc in
+    Clause_db.book db len;
+    t.steps <- t.steps + 1;
     if pivot <> v then
       Diagnostics.fail
         (Diagnostics.Wrong_pivot
            { context = context_final; expected = v; actual = pivot });
-    if !owned then Clause_db.release db !cur;
-    owned := true;
+    if !booked >= 0 then Clause_db.unbook db !booked;
+    booked := len;
     incr steps;
     ann := combine ~pivot !ann aa;
-    cur := r;
     cur_id := -1 (* intermediate chain resolvent *)
   done;
-  if !owned then Clause_db.release db !cur;
+  if !booked >= 0 then Clause_db.unbook db !booked;
   (!ann, !steps)
 
 let final_chain_ids t ~l0 ~fetch ~conflict_id =

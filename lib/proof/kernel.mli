@@ -1,6 +1,5 @@
-(** The shared resolution kernel: one checked sorted-merge resolution
-    routine plus the proof-DAG traversal machinery every checker is built
-    on.
+(** The shared resolution kernel: one checked resolution step plus the
+    proof-DAG traversal machinery every checker is built on.
 
     A kernel owns a {!Clause_db}, the formula's original clauses
     (materialised into the store on first use, which also marks them as
@@ -19,9 +18,10 @@
 
     Every resolution the checkers perform enforces the paper's side
     condition — exactly one variable in opposite phases, no tautological
-    resolvents — in one of two places: {!chain} folds a learned clause's
-    sources through a {!Resolvent} accumulator, and {!resolve} is the
-    pairwise step the empty-clause construction takes. *)
+    resolvents — in one place, {!Resolvent.step}: {!chain} folds a
+    learned clause's sources through a {!Resolvent} accumulator, and
+    {!final_chain} resolves the final conflict down to the empty clause
+    through a second one. *)
 
 type t
 
@@ -61,31 +61,6 @@ val peek : t -> int -> Clause_db.handle option
 val release_id : t -> int -> unit
 
 (** {2 Resolution} *)
-
-(** [resolve t ~context ~c1_id ~c2_id h1 h2] is the checked resolvent (a
-    fresh handle owned by the caller) and the pivot variable.
-    @raise Diagnostics.Check_failed with [No_clash] or [Multiple_clash]
-    when the side condition fails. *)
-val resolve :
-  t ->
-  context:string ->
-  c1_id:int ->
-  c2_id:int ->
-  Clause_db.handle ->
-  Clause_db.handle ->
-  Clause_db.handle * Sat.Lit.var
-
-(** [resolve_lits] is {!resolve} on plain literal arrays (tests and
-    micro-benchmarks); the operands are staged through the store and
-    released. *)
-val resolve_lits :
-  t ->
-  context:string ->
-  c1_id:int ->
-  c2_id:int ->
-  Sat.Lit.t array ->
-  Sat.Lit.t array ->
-  Sat.Lit.t array * Sat.Lit.var
 
 (** [chain t ~context ~fetch ~combine ~learned_id ids] folds checked
     resolution left-to-right over the clauses named by [ids], threading an
@@ -174,12 +149,11 @@ val stream_pass :
   Trace.Source.t ->
   pass
 
-(** A fully loaded proof skeleton: resolve-source lists, level-0 records,
-    definition order — what the depth-first and hybrid checkers keep in
+(** A fully loaded proof skeleton: resolve-source lists and level-0
+    records — what the depth-first checker and the interpolator keep in
     memory. *)
 type proof = {
   sources : int array Idtab.t;
-  defs : (int * int array) array;  (** stream order *)
   l0 : Level0.t;
   final_conflict : int option;
   total_learned : int;
@@ -223,7 +197,10 @@ val build : 'a builder -> int -> Clause_db.handle * 'a
     conflicting clause against recorded antecedents in reverse
     chronological order down to the empty clause, checking antecedent
     validity and pivot choice at each step.  Returns the final annotation
-    and the chain length. *)
+    and the chain length.  The running resolvent lives in the kernel's
+    second {!Resolvent} accumulator, so [fetch] may build clauses through
+    {!chain}; each step counts one resolution step and is booked in the
+    store as {!chain}'s intermediates are, the empty clause included. *)
 val final_chain :
   t ->
   l0:Level0.t ->
@@ -245,7 +222,7 @@ val final_chain_ids :
 
 type counters = {
   clauses_built : int;       (** chain-resolved learned clauses *)
-  resolution_steps : int;    (** checked pairwise resolutions *)
+  resolution_steps : int;    (** checked resolution steps *)
   merged_literals : int;     (** shared literals emitted once by merges *)
   peak_live_clauses : int;
   arena_peak_bytes : int;    (** peak arena residency, in bytes *)

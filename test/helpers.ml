@@ -99,7 +99,7 @@ let events_to_source events =
   List.iter (Trace.Writer.emit w) events;
   Trace.Reader.From_string (Trace.Writer.contents w)
 
-(* Every checking strategy, each counting mode of BF included, by name. *)
+(* Every checking strategy, by name. *)
 let strategies :
     (string
     * (Sat.Cnf.t ->
@@ -109,8 +109,6 @@ let strategies :
   [
     ("DF", fun f src -> Checker.Df.check f src);
     ("BF", fun f src -> Checker.Bf.check f src);
-    ( "BF temp-file",
-      fun f src -> Checker.Bf.check ~counting:(`Temp_file 4096) f src );
     ("Hybrid", fun f src -> Checker.Hybrid.check f src);
     ("Hint", fun f src -> Checker.Hint.check f src);
     ("Window 7", fun f src -> Checker.Window.check ~window:7 f src);

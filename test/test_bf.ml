@@ -116,103 +116,6 @@ let test_bf_survives_df_memory_limit () =
   | Ok _ -> ()
   | Error d -> Alcotest.failf "bf under budget: %s" (D.to_string d)
 
-let test_temp_file_counting () =
-  (* the paper's literal implementation: counts in a real temporary file,
-     chunked counting passes; must agree with the in-memory mode *)
-  let f = Gen.Php.unsat ~holes:5 in
-  let result, _, trace = Pipeline.Validate.solve_with_trace f in
-  (match result with
-   | Solver.Cdcl.Unsat -> ()
-   | Solver.Cdcl.Sat _ -> Alcotest.fail "php unsat");
-  let src = Trace.Reader.From_string trace in
-  match
-    ( Checker.Bf.check f src,
-      Checker.Bf.check ~counting:(`Temp_file 64) f src )
-  with
-  | Ok a, Ok b ->
-    Alcotest.check Alcotest.int "same built" a.clauses_built b.clauses_built;
-    Alcotest.check Alcotest.int "same steps" a.resolution_steps
-      b.resolution_steps;
-    Alcotest.check Alcotest.int "same peak" a.peak_mem_words b.peak_mem_words
-  | Error d, _ | _, Error d ->
-    Alcotest.failf "bf failed: %s" (D.to_string d)
-
-(* chunked counting must reproduce the in-memory report *exactly* —
-   every field, including the simulated peak — for degenerate chunk sizes
-   (1 = one ID per pass, 2, and an odd 7), across two proof shapes *)
-let test_temp_file_chunk_sizes () =
-  let instances =
-    [
-      ("php", Gen.Php.unsat ~holes:4);
-      ("parity", Gen.Parity.odd_cycle 8);
-    ]
-  in
-  List.iter
-    (fun (name, f) ->
-      let result, _, trace = Pipeline.Validate.solve_with_trace f in
-      (match result with
-       | Solver.Cdcl.Unsat -> ()
-       | Solver.Cdcl.Sat _ -> Alcotest.failf "%s: instance must be unsat" name);
-      let src = Trace.Reader.From_string trace in
-      let reference =
-        match Checker.Bf.check f src with
-        | Ok r -> r
-        | Error d -> Alcotest.failf "%s in-memory: %s" name (D.to_string d)
-      in
-      List.iter
-        (fun chunk ->
-          match Checker.Bf.check ~counting:(`Temp_file chunk) f src with
-          | Error d ->
-            Alcotest.failf "%s chunk %d: %s" name chunk (D.to_string d)
-          | Ok r ->
-            let ctx fld = Printf.sprintf "%s chunk %d: %s" name chunk fld in
-            Alcotest.check Alcotest.int (ctx "built") reference.clauses_built
-              r.clauses_built;
-            Alcotest.check Alcotest.int (ctx "learned")
-              reference.total_learned r.total_learned;
-            Alcotest.check Alcotest.int (ctx "steps")
-              reference.resolution_steps r.resolution_steps;
-            Alcotest.check (Alcotest.list Alcotest.int) (ctx "built ids")
-              reference.learned_built_ids r.learned_built_ids;
-            Alcotest.check Alcotest.int (ctx "peak words")
-              reference.peak_mem_words r.peak_mem_words;
-            Alcotest.check Alcotest.int (ctx "peak live clauses")
-              reference.peak_live_clauses r.peak_live_clauses;
-            Alcotest.check Alcotest.int (ctx "arena bytes")
-              reference.arena_bytes_resident r.arena_bytes_resident)
-        [ 1; 2; 7 ])
-    instances
-
-let test_temp_file_counting_rejects () =
-  let f, events = Helpers.unsat_with_events () in
-  let broken =
-    List.filter (function Trace.Event.Learned _ -> false | _ -> true) events
-  in
-  let w = Trace.Writer.create Trace.Writer.Ascii in
-  List.iter (Trace.Writer.emit w) broken;
-  match
-    Checker.Bf.check ~counting:(`Temp_file 128) f
-      (Trace.Reader.From_string (Trace.Writer.contents w))
-  with
-  | Ok _ -> Alcotest.fail "temp-file mode accepted a broken trace"
-  | Error _ -> ()
-
-(* A failed pass one ends the check: the counting passes, which scale
-   with the largest id a record names, never run. *)
-let test_temp_file_forward_reference_to_huge_id () =
-  let f =
-    Sat.Cnf.of_clauses 1 [ Sat.Clause.of_ints [ 1 ]; Sat.Clause.of_ints [ -1 ] ]
-  in
-  let huge = 1_000_000_000_000 in
-  match
-    Checker.Bf.check ~counting:(`Temp_file 64) f
-      (Helpers.events_to_source
-         [ ev_header 1 2; ev_cl 3 [| 1; huge |]; ev_conf 3 ])
-  with
-  | Ok _ -> Alcotest.fail "accepted a forward reference"
-  | Error (D.Forward_reference r) when r.id = 3 && r.source = huge -> ()
-  | Error d -> Alcotest.failf "unexpected diagnostic: %s" (D.to_string d)
-
 let test_mutations_rejected () =
   let f, events = Helpers.unsat_with_events () in
   let cases =
@@ -288,14 +191,6 @@ let suite =
         Alcotest.test_case "memory bounded" `Quick test_memory_bounded;
         Alcotest.test_case "survives DF's memory limit" `Quick
           test_bf_survives_df_memory_limit;
-        Alcotest.test_case "temp-file counting" `Quick
-          test_temp_file_counting;
-        Alcotest.test_case "temp-file chunk sizes" `Quick
-          test_temp_file_chunk_sizes;
-        Alcotest.test_case "temp-file rejects" `Quick
-          test_temp_file_counting_rejects;
-        Alcotest.test_case "temp-file forward reference to 10^12" `Quick
-          test_temp_file_forward_reference_to_huge_id;
         Alcotest.test_case "mutations rejected" `Quick test_mutations_rejected;
         Alcotest.test_case "unused bad clause caught" `Quick
           test_bf_detects_unused_bad_clause;

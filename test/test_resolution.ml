@@ -1,11 +1,23 @@
-(* Tests for the shared resolution kernel's sorted-merge resolution and
+(* Tests for the shared resolution kernel's checked resolution step and
    the arena-backed clause store beneath it, including agreement with the
    reference Clause.resolve. *)
 
 let kernel () = Proof.Kernel.create (Sat.Cnf.create 64)
 
+(* one checked step: the two-source chain [c1; c2], its resolvent and
+   pivot *)
 let resolve k c1 c2 =
-  Proof.Kernel.resolve_lits k ~context:"test" ~c1_id:1 ~c2_id:2 c1 c2
+  let db = Proof.Kernel.db k in
+  let hs = [| Proof.Clause_db.alloc db c1; Proof.Clause_db.alloc db c2 |] in
+  let h, pivot =
+    Proof.Kernel.chain k ~context:"test"
+      ~fetch:(fun id -> (hs.(id - 1), -1))
+      ~combine:(fun ~pivot _ _ -> pivot)
+      ~learned_id:3 [| 1; 2 |]
+  in
+  let r = Proof.Clause_db.lits db h in
+  Array.iter (Proof.Clause_db.release db) [| h; hs.(0); hs.(1) |];
+  (r, pivot)
 
 let sorted c = List.sort Int.compare (Sat.Clause.to_ints c)
 
@@ -420,9 +432,7 @@ let prop_matches_reference =
       | [ u ] when u = v ->
         let reference = Sat.Clause.resolve c1 c2 v in
         let k = Proof.Kernel.create (Sat.Cnf.create nvars) in
-        let r, pivot =
-          Proof.Kernel.resolve_lits k ~context:"qc" ~c1_id:1 ~c2_id:2 c1 c2
-        in
+        let r, pivot = resolve k c1 c2 in
         pivot = v && sorted r = sorted reference
       | _ -> QCheck.assume_fail ())
 

@@ -232,8 +232,8 @@ let test_window_validates_size () =
   | _ -> Alcotest.fail "window 0 was not rejected"
 
 (* A memory-out escaping mid-check must not strand the window spill file
-   or breadth-first's count file in the temp directory, and must still
-   reach the caller (rescheck maps it to exit 3). *)
+   in the temp directory, and must still reach the caller (rescheck maps
+   it to exit 3). *)
 let test_temp_files_removed_on_memory_out () =
   let f = Gen.Php.unsat ~holes:4 in
   let trace =
@@ -262,9 +262,6 @@ let test_temp_files_removed_on_memory_out () =
       Alcotest.check (Alcotest.list Alcotest.string)
         (name ^ ": temp dir empty") [] (leftovers ()))
     [
-      ( "bf temp-file",
-        fun ~mem_limit src ->
-          Checker.Bf.check ~mem_limit ~counting:(`Temp_file 64) f src );
       ( "window",
         fun ~mem_limit src -> Checker.Window.check ~mem_limit ~window:4 f src );
     ]
