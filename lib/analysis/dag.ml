@@ -2,7 +2,6 @@ type peaks = {
   df : int;
   bf : int;
   hybrid : int;
-  online : int;
 }
 
 type hist = (int * int) list
@@ -433,7 +432,6 @@ let finish_internal ?end_pos t =
              df = reachable_learned;
              bf = bf_peak;
              hybrid = hybrid_peak;
-             online = bf_peak;
            }
          in
          (* -- L5xx diagnostics, in record order ------------------------- *)
@@ -834,10 +832,9 @@ let pp fmt p =
      %.1f@,"
     p.lifetime_max p.lifetime_mean p.first_gap_max p.first_gap_mean;
   Format.fprintf fmt
-    "predicted peak live: df %d, bf %d, hybrid %d, online %d; warnings %s"
+    "predicted peak live: df %d, bf %d, hybrid %d; warnings %s"
     p.predicted_peak_live.df p.predicted_peak_live.bf
-    p.predicted_peak_live.hybrid p.predicted_peak_live.online
-    (warning_summary p)
+    p.predicted_peak_live.hybrid (warning_summary p)
 
 let hist_json h =
   let buf = Buffer.create 64 in
@@ -863,8 +860,7 @@ let to_json p =
      \"fanin\":{\"max\":%d,\"total_arcs\":%d},\
      \"lifetime\":{\"max\":%d,\"mean\":%s,\"buckets\":%s},\
      \"first_use_gap\":{\"max\":%d,\"mean\":%s},\
-     \"predicted_peak_live\":{\"df\":%d,\"bf\":%d,\"hybrid\":%d,\
-     \"online\":%d},\
+     \"predicted_peak_live\":{\"df\":%d,\"bf\":%d,\"hybrid\":%d},\
      \"warnings\":%d,\"dropped\":%d,\"by_code\":%s,\"diagnostics\":%s}"
     (if p.binary then "binary" else "ascii")
     p.events p.learned p.level0 p.nvars p.originals p.conflict_id
@@ -873,8 +869,7 @@ let to_json p =
     p.max_depth (hist_json p.depth_hist) p.max_width p.widest_depth p.max_fanin
     p.total_arcs p.lifetime_max (f p.lifetime_mean) (hist_json p.lifetime_hist)
     p.first_gap_max (f p.first_gap_mean) p.predicted_peak_live.df
-    p.predicted_peak_live.bf p.predicted_peak_live.hybrid
-    p.predicted_peak_live.online p.warnings p.dropped
+    p.predicted_peak_live.bf p.predicted_peak_live.hybrid p.warnings p.dropped
     (Lint.by_code_json p.by_code)
     (Lint.diagnostics_json p.diagnostics)
 

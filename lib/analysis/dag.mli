@@ -26,12 +26,12 @@
     every clause it builds (the core-reachable set); [bf] rebuilds all
     learned clauses and frees each after its last use; [hybrid] does the
     bf sweep restricted to core-reachable clauses with uses recounted
-    among them; [online] is bf fed live, so it shares bf's schedule. *)
+    among them.  The online validator is bf fed live, so [bf] is its
+    peak too. *)
 type peaks = {
   df : int;
   bf : int;
   hybrid : int;
-  online : int;
 }
 
 (** Log-scale (base-2) histogram as non-empty [(bucket, count)] pairs in

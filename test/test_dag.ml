@@ -85,11 +85,10 @@ let test_diamond_peaks () =
   let i = Alcotest.check Alcotest.int in
   (* df keeps exactly the reachable set; bf's refcount sweep peaks at
      ordinal 4 with {4,5,6,7} live; the hybrid sweep skips the dead
-     clauses and peaks at {4,5,6}; online shares bf's schedule *)
+     clauses and peaks at {4,5,6} *)
   i "df" 4 p.G.predicted_peak_live.G.df;
   i "bf" 4 p.G.predicted_peak_live.G.bf;
-  i "hybrid" 3 p.G.predicted_peak_live.G.hybrid;
-  i "online" 4 p.G.predicted_peak_live.G.online
+  i "hybrid" 3 p.G.predicted_peak_live.G.hybrid
 
 let test_diamond_diagnostics () =
   let p = profile_exn "diamond" diamond in
@@ -139,7 +138,7 @@ let test_json_and_pp () =
     [
       {|"reachable_learned":4|};
       {|"dead_learned":2|};
-      {|"predicted_peak_live":{"df":4,"bf":4,"hybrid":3,"online":4}|};
+      {|"predicted_peak_live":{"df":4,"bf":4,"hybrid":3}|};
       {|"by_code":{"L501":2,"L502":1,"L503":1}|};
       {|"code":"L501"|};
     ];
