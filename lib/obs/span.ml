@@ -3,7 +3,6 @@ type span =
   | Open of {
       name : string;
       cat : string;
-      args : (string * int) list;
       ts : float; (* us *)
       tid : int;
     }
@@ -11,7 +10,6 @@ type span =
 type event = {
   e_name : string;
   e_cat : string;
-  e_args : (string * int) list;
   e_ts : float;
   e_dur : float;
   e_tid : int;
@@ -30,14 +28,13 @@ let record e =
   incr n_events;
   Mutex.unlock lock
 
-let enter ?(cat = "") ?(args = []) name =
+let enter ?(cat = "") name =
   if not (Ctl.on ()) then Off
   else
     Open
       {
         name;
         cat;
-        args;
         ts = Ctl.now_us ();
         tid = (Domain.self () :> int);
       }
@@ -45,22 +42,21 @@ let enter ?(cat = "") ?(args = []) name =
 let leave s =
   match s with
   | Off -> ()
-  | Open { name; cat; args; ts; tid } ->
+  | Open { name; cat; ts; tid } ->
     record
       {
         e_name = name;
         e_cat = cat;
-        e_args = args;
         e_ts = ts;
         e_dur = Ctl.now_us () -. ts;
         e_tid = tid;
         e_seq = 0;
       }
 
-let scope ?cat ?args name f =
+let scope ?cat name f =
   if not (Ctl.on ()) then f ()
   else begin
-    let s = enter ?cat ?args name in
+    let s = enter ?cat name in
     Fun.protect ~finally:(fun () -> leave s) f
   end
 
@@ -105,18 +101,6 @@ let event_json e =
   Buffer.add_string buf (Printf.sprintf "%.3f" e.e_dur);
   Buffer.add_string buf ",\"pid\":1,\"tid\":";
   Buffer.add_string buf (string_of_int e.e_tid);
-  if e.e_args <> [] then begin
-    Buffer.add_string buf ",\"args\":{";
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_char buf '"';
-        Buffer.add_string buf (Metrics.json_escape k);
-        Buffer.add_string buf "\":";
-        Buffer.add_string buf (string_of_int v))
-      e.e_args;
-    Buffer.add_char buf '}'
-  end;
   Buffer.add_char buf '}';
   Buffer.contents buf
 

@@ -18,18 +18,17 @@
 
 type span
 
-(** [enter ?cat ?args name] opens a span.  [args] (small integer
-    annotations, e.g. a record count) are attached to the exported
-    event.  Returns a no-op token when telemetry is off. *)
-val enter : ?cat:string -> ?args:(string * int) list -> string -> span
+(** [enter ?cat name] opens a span.  Returns a no-op token when
+    telemetry is off. *)
+val enter : ?cat:string -> string -> span
 
 (** [leave s] closes the span and records the event.  No-op on the dummy
     token. *)
 val leave : span -> unit
 
-(** [scope ?cat ?args name f] runs [f ()] inside a span; the span is
+(** [scope ?cat name f] runs [f ()] inside a span; the span is
     recorded even when [f] raises. *)
-val scope : ?cat:string -> ?args:(string * int) list -> string -> (unit -> 'a) -> 'a
+val scope : ?cat:string -> string -> (unit -> 'a) -> 'a
 
 (** [instant ?cat name] records a zero-duration event. *)
 val instant : ?cat:string -> string -> unit
@@ -42,7 +41,7 @@ val reset : unit -> unit
 
 (** [to_trace_json ()] renders the timeline as a Chrome trace-event JSON
     array, one event per line, sorted by start timestamp, each with the
-    stable field order [name, cat, ph, ts, dur, pid, tid(, args)].
+    stable field order [name, cat, ph, ts, dur, pid, tid].
     Timestamps and durations are microseconds. *)
 val to_trace_json : unit -> string
 

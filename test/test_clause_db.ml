@@ -61,7 +61,7 @@ let test_retain_release_balance () =
 
 let ints db h = Array.to_list (Array.map Sat.Lit.to_int (Db.lits db h))
 
-let test_reserve_and_freeze () =
+let test_reservation () =
   let db = Db.create ~reserve:4096 () in
   Alcotest.check Alcotest.bool "reservation honours the request" true
     (Db.reserved_words db >= 4096);
@@ -70,7 +70,7 @@ let test_reserve_and_freeze () =
 
 (* Outgrowing the reservation relocates the arena: every clause must
    read back unchanged from the new region. *)
-let test_freeze_survives_growth () =
+let test_relocation_keeps_contents () =
   let db = Db.create ~reserve:1024 () in
   let h = Db.alloc db (c [ 7; -8 ]) in
   let before = ints db h in
@@ -161,8 +161,8 @@ let suite =
           test_refcount_underflow;
         Alcotest.test_case "retain/release balance" `Quick
           test_retain_release_balance;
-        Alcotest.test_case "reserve and freeze" `Quick test_reserve_and_freeze;
-        Alcotest.test_case "freeze survives growth" `Quick
-          test_freeze_survives_growth;
+        Alcotest.test_case "reservation honoured" `Quick test_reservation;
+        Alcotest.test_case "relocation keeps contents" `Quick
+          test_relocation_keeps_contents;
       ] );
   ]

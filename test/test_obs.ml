@@ -84,7 +84,7 @@ let test_kind_conflict () =
 let test_span_export () =
   with_recording @@ fun () ->
   Obs.Span.scope ~cat:"test" "outer" (fun () ->
-      Obs.Span.scope ~cat:"test" ~args:[ ("width", 3) ] "inner" (fun () ->
+      Obs.Span.scope ~cat:"test" "inner" (fun () ->
           ignore (Sys.opaque_identity 0)));
   Obs.Span.instant ~cat:"test" "mark";
   Alcotest.check Alcotest.int "three events" 3 (Obs.Span.count ());
@@ -114,10 +114,6 @@ let test_span_export () =
   in
   let ts = List.map ts_of lines in
   Alcotest.check Alcotest.bool "monotone ts" true (List.sort compare ts = ts);
-  (* args survive export *)
-  let inner = List.find (fun l -> contains l "\"inner\"") lines in
-  Alcotest.check Alcotest.bool "inner carries args" true
-    (contains inner "\"args\":{\"width\":3}");
   (* the aggregate view the run profile embeds *)
   match Obs.Span.aggregate () with
   | [ ("inner", "test", 1, _); ("mark", "test", 1, _); ("outer", "test", 1, _) ]
