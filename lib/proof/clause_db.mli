@@ -81,8 +81,8 @@ val reserved_words : t -> int
 val alloc : t -> Sat.Lit.t array -> handle
 
 (** [alloc_sorted db buf n] stores the first [n] ints of [buf], which must
-    already be sorted, duplicate-free packed literals (the resolution
-    kernel's merge output). *)
+    already be sorted, duplicate-free packed literals (a chain's
+    resolvent, as {!Resolvent.blit} writes it). *)
 val alloc_sorted : t -> int array -> int -> handle
 
 (** [size db h] is the clause's literal count. *)
