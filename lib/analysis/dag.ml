@@ -545,8 +545,8 @@ let stream_finish ?end_pos t =
 
 (* Feed a whole serialised trace through a stream.  Unlike the linter a
    parse failure is terminal: a trace that does not decode has no DAG. *)
-let feed ?format ?io ?max_diagnostics source =
-  let cur = Trace.Reader.cursor ?format ?io source in
+let feed ?format ?max_diagnostics source =
+  let cur = Trace.Reader.cursor ?format source in
   let binary = Trace.Reader.is_binary_cursor cur in
   let t = stream_start ?max_diagnostics ~binary () in
   let result =
@@ -564,9 +564,9 @@ let feed ?format ?io ?max_diagnostics source =
   Trace.Reader.close cur;
   (result, end_pos)
 
-let run ?format ?io ?max_diagnostics source =
+let run ?format ?max_diagnostics source =
   Obs.Span.scope ~cat:"analysis" "dag.run" @@ fun () ->
-  match feed ?format ?io ?max_diagnostics source with
+  match feed ?format ?max_diagnostics source with
   | Error e, _ -> Error e
   | Ok t, end_pos -> stream_finish ~end_pos t
 
@@ -580,9 +580,9 @@ type trim_stats = {
   bytes_out : int;
 }
 
-let trim ?format ?io ?max_diagnostics source w =
+let trim ?format ?max_diagnostics source w =
   Obs.Span.scope ~cat:"analysis" "dag.trim" @@ fun () ->
-  match feed ?format ?io ?max_diagnostics source with
+  match feed ?format ?max_diagnostics source with
   | Error e, _ -> Error e
   | Ok t, end_pos ->
     (match finish_internal ~end_pos t with
@@ -601,7 +601,7 @@ let trim ?format ?io ?max_diagnostics source w =
        else begin
          (* pass two: re-read and emit only the core-reachable subgraph;
             the event stream is never materialised *)
-         let cur = Trace.Reader.cursor ?format ?io source in
+         let cur = Trace.Reader.cursor ?format source in
          let records_out = ref 0 and kept_learned = ref 0 in
          let dropped_learned = ref 0 and dropped_after = ref 0 in
          let seen_conflict = ref false in
@@ -672,11 +672,11 @@ type hint_stats = {
    the empty-clause construction needs at the very end — the final
    conflict and every level-0 antecedent stay pinned.  Existing hints in
    the input are discarded and regenerated, so hinting is idempotent. *)
-let hint ?format ?io ?max_diagnostics source w =
+let hint ?format ?max_diagnostics source w =
   Obs.Span.scope ~cat:"analysis" "dag.hint" @@ fun () ->
   if Trace.Writer.version w < 2 then
     invalid_arg "Dag.hint: deletion hints require a version-2 trace writer";
-  match feed ?format ?io ?max_diagnostics source with
+  match feed ?format ?max_diagnostics source with
   | Error e, _ -> Error e
   | Ok t, end_pos ->
     (match finish_internal ~end_pos t with
@@ -700,7 +700,7 @@ let hint ?format ?io ?max_diagnostics source w =
             trace record *)
          let last_use = Hashtbl.create 1024 in
          let pinned_ids = Hashtbl.create 64 in
-         let cur = Trace.Reader.cursor ?format ?io source in
+         let cur = Trace.Reader.cursor ?format source in
          let ord = ref 0 in
          Trace.Reader.iter_cursor cur (fun e ->
              (match e with
@@ -776,9 +776,9 @@ let hint ?format ?io ?max_diagnostics source w =
 (* [strip_hints source w] is the downgrade path: drop every [Delete]
    record and emit the rest unchanged, turning a version-2 trace back
    into one every hint-blind strategy accepts. *)
-let strip_hints ?format ?io source w =
+let strip_hints ?format source w =
   try
-    let cur = Trace.Reader.cursor ?format ?io source in
+    let cur = Trace.Reader.cursor ?format source in
     let records_in = ref 0 and records_out = ref 0 and dropped = ref 0 in
     Trace.Reader.iter_cursor cur (fun e ->
         incr records_in;
@@ -885,7 +885,7 @@ type node = {
   n_deleted_at : Trace.Reader.pos option;
 }
 
-let neighborhood ?format ?io ?(max_used_by = 8) ~ids source =
+let neighborhood ?format ?(max_used_by = 8) ~ids source =
   (* Best-effort by contract: [explain] runs this over the very traces
      the checker refused, so a parse error simply ends the pass — what
      was collected up to the refusal point is exactly the context a
@@ -913,7 +913,7 @@ let neighborhood ?format ?io ?(max_used_by = 8) ~ids source =
       n
   in
   let originals = ref 0 in
-  let cur = Trace.Reader.cursor ?format ?io source in
+  let cur = Trace.Reader.cursor ?format source in
   (try
      let continue = ref true in
      while !continue do

@@ -108,13 +108,12 @@ val sink : stream -> pos:(unit -> Trace.Reader.pos) -> Trace.Sink.t
 
 (** [run source] analyzes a serialised trace in one streaming pass.
     [format] forces the encoding instead of auto-detecting it;
-    [io] selects the file backing; [max_diagnostics] (default 100) caps
-    retained diagnostics (counts are never capped).  Unlike {!Lint.run},
+    [max_diagnostics] (default 100) caps retained diagnostics (counts
+    are never capped).  Unlike {!Lint.run},
     a parse failure aborts the analysis into [Error] — a trace that does
     not decode has no DAG to profile. *)
 val run :
   ?format:Trace.Writer.format ->
-  ?io:Trace.Reader.io ->
   ?max_diagnostics:int ->
   Trace.Reader.source ->
   (profile, error) result
@@ -144,7 +143,6 @@ type trim_stats = {
     writer's. *)
 val trim :
   ?format:Trace.Writer.format ->
-  ?io:Trace.Reader.io ->
   ?max_diagnostics:int ->
   Trace.Reader.source ->
   Trace.Writer.t ->
@@ -177,7 +175,6 @@ type hint_stats = {
     @raise Invalid_argument when [w] is not a version-2 writer. *)
 val hint :
   ?format:Trace.Writer.format ->
-  ?io:Trace.Reader.io ->
   ?max_diagnostics:int ->
   Trace.Reader.source ->
   Trace.Writer.t ->
@@ -188,7 +185,6 @@ val hint :
     hint-blind strategies accept.  No structural validation is run. *)
 val strip_hints :
   ?format:Trace.Writer.format ->
-  ?io:Trace.Reader.io ->
   Trace.Reader.source ->
   Trace.Writer.t ->
   (hint_stats, error) result
@@ -221,7 +217,6 @@ type node = {
     retained citing ids (default 8; [n_uses] is never capped). *)
 val neighborhood :
   ?format:Trace.Writer.format ->
-  ?io:Trace.Reader.io ->
   ?max_used_by:int ->
   ids:int list ->
   Trace.Reader.source ->

@@ -122,8 +122,8 @@ let pos_ord = function Trace.Reader.Line n -> n | Trace.Reader.Byte n -> n
    refusals that entry is the offending record itself.  ASCII cursors
    re-synchronise on the next line after an error; binary ones cannot,
    so the window simply ends there. *)
-let trace_window ?format ?io ~window ~pos source =
-  let cur = Trace.Reader.cursor ?format ?io source in
+let trace_window ?format ~window ~pos source =
+  let cur = Trace.Reader.cursor ?format source in
   let target = Option.map pos_ord pos in
   let before = Queue.create () in
   let offending = ref None in
@@ -178,13 +178,13 @@ let trace_window ?format ?io ~window ~pos source =
     (fun (w_pos, w_text, w_offending) -> { w_pos; w_text; w_offending })
     entries
 
-let build ?format ?io ?(window = 5) ~trace ~refusal () =
+let build ?format ?(window = 5) ~trace ~refusal () =
   let e_window =
-    trace_window ?format ?io ~window ~pos:refusal.r_pos trace
+    trace_window ?format ~window ~pos:refusal.r_pos trace
   in
   let e_nodes =
     if refusal.r_ids = [] then []
-    else Dag.neighborhood ?format ?io ~ids:refusal.r_ids trace
+    else Dag.neighborhood ?format ~ids:refusal.r_ids trace
   in
   let e_docs =
     List.filter_map

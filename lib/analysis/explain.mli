@@ -72,10 +72,9 @@ type report = {
 (** [build ~trace ~refusal ()] reconstructs the report.  [window]
     (default 5) is the number of context records kept on each side of
     the offending one; with no position in the refusal the window is the
-    trace's first records.  [format]/[io] follow {!Trace.Reader.cursor}. *)
+    trace's first records.  [format] follows {!Trace.Reader.cursor}. *)
 val build :
   ?format:Trace.Writer.format ->
-  ?io:Trace.Reader.io ->
   ?window:int ->
   trace:Trace.Reader.source ->
   refusal:refusal ->

@@ -616,9 +616,9 @@ let sink ?downstream t ~pos =
       stream_event t (pos ()) e;
       match downstream with Some s -> Trace.Sink.push s e | None -> ())
 
-let run ?format ?io ?formula ?max_diagnostics source =
+let run ?format ?formula ?max_diagnostics source =
   Obs.Span.scope ~cat:"lint" "lint.run" @@ fun () ->
-  let cur = Trace.Reader.cursor ?format ?io source in
+  let cur = Trace.Reader.cursor ?format source in
   let binary = Trace.Reader.is_binary_cursor cur in
   let t = stream_start ?formula ?max_diagnostics ~binary () in
   let running = ref true in

@@ -116,12 +116,9 @@ type report = {
     encoding instead of auto-detecting it from the magic bytes.  Never
     raises on malformed traces: parse failures become L001 diagnostics,
     and an ASCII cursor resumes on the next line so one pass can report
-    several of them.  [io] selects the
-    file backing for every cursor the check opens (default [`Auto]:
-    mmap regular files, falling back to the buffered channel). *)
+    several of them. *)
 val run :
   ?format:Trace.Writer.format ->
-  ?io:Trace.Reader.io ->
   ?formula:Sat.Cnf.t ->
   ?max_diagnostics:int ->
   Trace.Reader.source ->

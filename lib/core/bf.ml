@@ -40,25 +40,25 @@ let ingest_sink g = Trace.Sink.make (ingest_event g)
 
 (* Pass two: rebuild every learned clause in stream order — the 100%
    Built column — releasing each clause the moment its uses drain. *)
-let pass_two ?format ?io g source =
+let pass_two ?format g source =
   Option.iter Proof.Diagnostics.fail g.failed;
   let pass = Proof.Kernel.stream_finish g.stream in
   let conf_id = Driver.conflict pass.final_conflict in
   Driver.pass_two ~cat:"bf" (fun () ->
       Driver.rebuild g.kernel g.uses ~context:"breadth-first reconstruction"
-        ?format ?io source;
+        ?format source;
       ignore (Driver.final_chain g.kernel ~l0:g.l0 conf_id));
   Driver.report g.kernel ~total_learned:pass.total_learned
 
-let finish ?format ?io g source =
-  Driver.run (fun () -> pass_two ?format ?io g source)
+let finish ?format g source =
+  Driver.run (fun () -> pass_two ?format g source)
 
-let check ?mem_limit ?format ?io ?first_pass formula source =
+let check ?mem_limit ?format ?first_pass formula source =
   let g = make_ingest ?mem_limit formula in
   Driver.run @@ fun () ->
   (* pass one: validate record shape / stream order and count uses;
      ingest records the first violation, so draining stops there *)
-  Driver.pass_one ~cat:"bf" (Driver.source ?format ?io ?first_pass source)
+  Driver.pass_one ~cat:"bf" (Driver.source ?format ?first_pass source)
     (fun src ->
       let rec drain () =
         if g.failed = None then
@@ -69,4 +69,4 @@ let check ?mem_limit ?format ?io ?first_pass formula source =
           | None -> ()
       in
       drain ());
-  pass_two ?format ?io g source
+  pass_two ?format g source

@@ -23,15 +23,12 @@
     pipe, say) and from a fresh cursor over [source] otherwise; it is
     closed once drained.  Pass two always re-reads [source], so when
     pass one came from a pipe, [source] must be a spooled copy of the
-    same bytes.  [format] forces the encoding
-    on every cursor the check opens (needed for magic-less binary
-    traces, which auto-detection cannot classify); [io] selects the
-    file backing for every cursor the check opens (default [`Auto]:
-    mmap regular files, falling back to the buffered channel). *)
+    same bytes.  [format] forces the encoding on every cursor the check
+    opens (needed for magic-less binary traces, which auto-detection
+    cannot classify). *)
 val check :
   ?mem_limit:int ->
   ?format:Trace.Writer.format ->
-  ?io:Trace.Reader.io ->
   ?first_pass:Trace.Source.t ->
   Sat.Cnf.t ->
   Trace.Reader.source ->
@@ -60,7 +57,6 @@ val ingest_failed : ingest -> Proof.Diagnostics.failure option
     serialise exactly the events that were ingested. *)
 val finish :
   ?format:Trace.Writer.format ->
-  ?io:Trace.Reader.io ->
   ingest ->
   Trace.Reader.source ->
   (Report.t, Proof.Diagnostics.failure) result

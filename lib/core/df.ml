@@ -4,14 +4,14 @@
    resolve-source DAG from the final conflict, so only proof-relevant
    clauses are ever built and the touched originals form an unsat core. *)
 
-let check ?mem_limit ?format ?io ?first_pass formula source =
+let check ?mem_limit ?format ?first_pass formula source =
   let k = Proof.Kernel.create ?mem_limit formula in
   Driver.run @@ fun () ->
   (* depth-first reads the trace exactly once, so the whole check can
      run off a single-shot stream (pipe/FIFO) with no re-read *)
   let proof =
     Driver.pass_one ~cat:"df"
-      (Driver.source ?format ?io ?first_pass source)
+      (Driver.source ?format ?first_pass source)
       (Proof.Kernel.load k ~charge:`Full)
   in
   let conf_id = Driver.conflict proof.final_conflict in

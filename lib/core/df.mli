@@ -18,13 +18,10 @@
     [mem_limit] words raises {!Proof.Clause_db.Out_of_memory_simulated},
     mirroring the paper's memory-out entries.  Depth-first reads the
     trace once: with [first_pass] (a single-shot stream, closed when
-    drained) the re-readable source is never touched.  [io] selects the
-    file backing for every cursor the check opens (default [`Auto]:
-    mmap regular files, falling back to the buffered channel). *)
+    drained) the re-readable source is never touched. *)
 val check :
   ?mem_limit:int ->
   ?format:Trace.Writer.format ->
-  ?io:Trace.Reader.io ->
   ?first_pass:Trace.Source.t ->
   Sat.Cnf.t ->
   Trace.Reader.source ->

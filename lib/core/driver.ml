@@ -7,12 +7,12 @@ let run ?(cleanup = ignore) body =
 
 (* --- passes --------------------------------------------------------------- *)
 
-let source ?format ?io ?first_pass source =
+let source ?format ?first_pass source =
   match first_pass with
   | Some s -> s
   | None ->
     Trace.Source.of_cursor ~close_cursor:true
-      (Trace.Reader.cursor ?format ?io source)
+      (Trace.Reader.cursor ?format source)
 
 let pass_one ~cat ?(name = "check.pass_one") src f =
   Obs.Span.scope ~cat name @@ fun () ->
@@ -116,14 +116,14 @@ let mark_needed u ~defs ~antes conflict_id =
 (* --- the rebuild pass ----------------------------------------------------- *)
 
 let rebuild k u ~context ?(needed_only = false) ?fetch ?drained
-    ?(on_record = ignore) ?format ?io source =
+    ?(on_record = ignore) ?format source =
   let fetch =
     match fetch with Some f -> f | None -> Proof.Kernel.find k ~context
   in
   let drained =
     match drained with Some f -> f | None -> Proof.Kernel.release_id k
   in
-  let cur = Trace.Reader.cursor ?format ?io source in
+  let cur = Trace.Reader.cursor ?format source in
   Fun.protect ~finally:(fun () -> Trace.Reader.close cur) @@ fun () ->
   Trace.Reader.iter_cursor cur (function
     | Trace.Event.Learned l ->

@@ -24,12 +24,11 @@ val run :
 
 (** {2 Passes} *)
 
-(** [source ?format ?io ?first_pass source] is pass one's event source:
+(** [source ?format ?first_pass source] is pass one's event source:
     [first_pass] when given (a single-shot stream, a tee of a live pipe
     say), else a fresh cursor over [source]. *)
 val source :
   ?format:Trace.Writer.format ->
-  ?io:Trace.Reader.io ->
   ?first_pass:Trace.Source.t ->
   Trace.Reader.source ->
   Trace.Source.t
@@ -111,6 +110,5 @@ val rebuild :
   ?drained:(int -> unit) ->
   ?on_record:(int -> unit) ->
   ?format:Trace.Writer.format ->
-  ?io:Trace.Reader.io ->
   Trace.Reader.source ->
   unit

@@ -16,7 +16,7 @@
    simply never frees, so verdicts, cores and diagnostics match
    breadth-first on every trace both can read. *)
 
-let check ?mem_limit ?format ?io ?first_pass formula source =
+let check ?mem_limit ?format ?first_pass formula source =
   let kernel = Proof.Kernel.create ?mem_limit formula in
   Driver.run @@ fun () ->
   let l0 = Proof.Level0.create () in
@@ -28,7 +28,7 @@ let check ?mem_limit ?format ?io ?first_pass formula source =
   (* ids already freed by a hint, kept only to diagnose bad hints — the
      hot path never touches this table until something goes wrong *)
   let deleted = Proof.Idtab.create (Proof.Kernel.id_range kernel) in
-  let src = Driver.source ?format ?io ?first_pass source in
+  let src = Driver.source ?format ?first_pass source in
   let bad_hint id reason =
     Proof.Diagnostics.fail
       (Proof.Diagnostics.Positioned

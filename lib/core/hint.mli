@@ -24,7 +24,6 @@
 val check :
   ?mem_limit:int ->
   ?format:Trace.Writer.format ->
-  ?io:Trace.Reader.io ->
   ?first_pass:Trace.Source.t ->
   Sat.Cnf.t ->
   Trace.Reader.source ->

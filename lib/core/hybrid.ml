@@ -5,7 +5,7 @@
    released (and credited back), and pass two rebuilds only the needed
    clauses BF-style with use-count freeing. *)
 
-let check ?mem_limit ?format ?io ?first_pass formula source =
+let check ?mem_limit ?format ?first_pass formula source =
   let kernel = Proof.Kernel.create ?mem_limit formula in
   Driver.run @@ fun () ->
   (* pass one: collect source lists (charged: this is the part of the
@@ -16,7 +16,7 @@ let check ?mem_limit ?format ?io ?first_pass formula source =
   let antes = Sat.Vec.create ~dummy:0 in
   let pass =
     Driver.pass_one ~cat:"hybrid"
-      (Driver.source ?format ?io ?first_pass source)
+      (Driver.source ?format ?first_pass source)
       (Proof.Kernel.stream_pass kernel ~stream_order:true ~l0 ~charge:`Defs
          ~on_event:(function
            | Trace.Event.Learned l -> Sat.Vec.push defs (l.id, l.sources)
@@ -34,6 +34,6 @@ let check ?mem_limit ?format ?io ?first_pass formula source =
   Sat.Vec.clear defs;
   Driver.pass_two ~cat:"hybrid" (fun () ->
       Driver.rebuild kernel uses ~context:"hybrid reconstruction"
-        ~needed_only:true ?format ?io source;
+        ~needed_only:true ?format source;
       ignore (Driver.final_chain kernel ~l0 conf_id));
   Driver.report ~core:true kernel ~total_learned:pass.total_learned

@@ -26,14 +26,10 @@
 
 (** [check ?first_pass f source] — pass one pulls from [first_pass] when
     given (closed once drained), pass two always re-reads [source]; a
-    piped pass one therefore needs [source] to be a spooled copy.
-    [io] selects the
-    file backing for every cursor the check opens (default [`Auto]:
-    mmap regular files, falling back to the buffered channel). *)
+    piped pass one therefore needs [source] to be a spooled copy. *)
 val check :
   ?mem_limit:int ->
   ?format:Trace.Writer.format ->
-  ?io:Trace.Reader.io ->
   ?first_pass:Trace.Source.t ->
   Sat.Cnf.t ->
   Trace.Reader.source ->

@@ -155,7 +155,7 @@ let after_record st ~window id =
   st.fill <- st.fill + 1;
   if st.fill >= window then boundary st
 
-let check ?mem_limit ?format ?io ?first_pass ?on_stats ~window formula
+let check ?mem_limit ?format ?first_pass ?on_stats ~window formula
     source =
   if window < 1 then
     invalid_arg "Window.check: window size must be at least 1";
@@ -197,7 +197,7 @@ let check ?mem_limit ?format ?io ?first_pass ?on_stats ~window formula
   let l0 = Proof.Level0.create () in
   let stream = Proof.Kernel.stream_start kernel ~stream_order:true ~l0 () in
   let uses = Driver.uses kernel in
-  Driver.pass_one ~cat:"window" (Driver.source ?format ?io ?first_pass source)
+  Driver.pass_one ~cat:"window" (Driver.source ?format ?first_pass source)
     (Trace.Source.iter (fun e ->
          Proof.Kernel.stream_feed stream e;
          Driver.count_uses uses e));
@@ -207,7 +207,7 @@ let check ?mem_limit ?format ?io ?first_pass ?on_stats ~window formula
   Driver.pass_two ~cat:"window" (fun () ->
       Driver.rebuild kernel uses ~context:"breadth-first reconstruction"
         ~fetch:(fetch st ~context:"breadth-first reconstruction")
-        ~drained:(drained st) ~on_record:(after_record st ~window) ?format ?io
+        ~drained:(drained st) ~on_record:(after_record st ~window) ?format
         source;
       let fetch = fetch st ~context:"empty-clause construction" in
       ignore (Driver.final_chain kernel ~l0 ~fetch conf_id);

@@ -34,7 +34,6 @@ type stats = {
 val check :
   ?mem_limit:int ->
   ?format:Trace.Writer.format ->
-  ?io:Trace.Reader.io ->
   ?first_pass:Trace.Source.t ->
   ?on_stats:(stats -> unit) ->
   window:int ->
