@@ -24,7 +24,13 @@ let truncate_string rng s =
 
 (* The reader either parses (possibly into a semantically broken trace,
    which the checkers must then reject or validly accept) or raises
-   Parse_error.  Nothing else. *)
+   Parse_error.  Nothing else.  A parsed mutant's verdicts must fit
+   together.  BF, Window and Hint rebuild every learned clause in stream
+   order, so they agree.  Hybrid rebuilds only the clauses the final
+   conflict needs, still in stream order, and DF rebuilds those in any
+   order, so BF's acceptance implies Hybrid's and Hybrid's implies DF's.
+   DF and Hybrid mark the same needed set, so when both accept they name
+   the same core. *)
 let test_fuzz_trace_bytes () =
   let f = Gen.Php.unsat ~holes:4 in
   let _, _, ascii = Pipeline.Validate.solve_with_trace f in
@@ -32,28 +38,46 @@ let test_fuzz_trace_bytes () =
   ignore (Solver.Cdcl.solve ~trace:(Trace.Writer.as_sink wb) f);
   let binary = Trace.Writer.contents wb in
   let rng = Sat.Rng.create 60601 in
-  let exercise payload =
+  let exercise name payload =
     let source = Trace.Reader.From_string payload in
     match Trace.Reader.to_list source with
     | exception Trace.Reader.Parse_error _ -> ()
     | exception e ->
-      Alcotest.failf "reader raised unexpected %s" (Printexc.to_string e)
+      Alcotest.failf "%s: reader raised unexpected %s" name
+        (Printexc.to_string e)
     | _events -> (
-      (* parsed: every checker must produce a structured verdict *)
       match
         ( Checker.Df.check f source,
+          Checker.Hybrid.check f source,
           Checker.Bf.check f source,
-          Checker.Hybrid.check f source )
+          Checker.Window.check ~window:4 f source,
+          Checker.Hint.check f source )
       with
-      | (Ok _ | Error _), (Ok _ | Error _), (Ok _ | Error _) -> ()
       | exception e ->
-        Alcotest.failf "checker raised unexpected %s" (Printexc.to_string e))
+        Alcotest.failf "%s: checker raised unexpected %s" name
+          (Printexc.to_string e)
+      | df, hybrid, bf, window, hint ->
+        let ok = Result.is_ok in
+        if ok window <> ok bf || ok hint <> ok bf then
+          Alcotest.failf "%s: BF %b, Window %b, Hint %b" name (ok bf)
+            (ok window) (ok hint);
+        if ok bf && not (ok hybrid) then
+          Alcotest.failf "%s: BF accepts, Hybrid rejects" name;
+        if ok hybrid && not (ok df) then
+          Alcotest.failf "%s: Hybrid accepts, DF rejects" name;
+        (match (df, hybrid) with
+         | Ok d, Ok h
+           when d.Checker.Report.core_original_ids
+                <> h.Checker.Report.core_original_ids ->
+           Alcotest.failf "%s: DF and Hybrid cores differ" name
+         | _ -> ()))
   in
-  for _ = 1 to 150 do
-    exercise (mutate_string rng ascii);
-    exercise (mutate_string rng binary);
-    exercise (truncate_string rng ascii);
-    exercise (truncate_string rng binary)
+  for i = 1 to 150 do
+    let name kind = Printf.sprintf "round %d, %s" i kind in
+    exercise (name "mutated ascii") (mutate_string rng ascii);
+    exercise (name "mutated binary") (mutate_string rng binary);
+    exercise (name "truncated ascii") (truncate_string rng ascii);
+    exercise (name "truncated binary") (truncate_string rng binary)
   done
 
 (* Mutations must never turn a satisfiable formula's trace into an
