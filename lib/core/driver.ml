@@ -73,14 +73,14 @@ let report ?(core = false) k ~total_learned =
 
 (* --- use counts ----------------------------------------------------------- *)
 
-type uses = int Proof.Idtab.t
+type uses = int Trace.Idtab.t
 
-let uses k = Proof.Idtab.create (Proof.Kernel.id_range k)
+let uses k = Trace.Idtab.create (Proof.Kernel.id_range k)
 
 let count u id =
-  match Proof.Idtab.find u id with n -> n | exception Not_found -> 0
+  match Trace.Idtab.find u id with n -> n | exception Not_found -> 0
 
-let add_use u id = Proof.Idtab.replace u id (1 + count u id)
+let add_use u id = Trace.Idtab.replace u id (1 + count u id)
 
 let count_uses u = function
   | Trace.Event.Learned l -> Array.iter (add_use u) l.sources
@@ -93,10 +93,10 @@ let drop u id =
   match count u id with
   | 0 -> false
   | 1 ->
-    Proof.Idtab.remove u id;
+    Trace.Idtab.remove u id;
     true
   | n ->
-    Proof.Idtab.replace u id (n - 1);
+    Trace.Idtab.replace u id (n - 1);
     false
 
 let mark_needed u ~defs ~antes conflict_id =

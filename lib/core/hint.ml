@@ -27,7 +27,7 @@ let check ?mem_limit ?format ?first_pass formula source =
   let context = "hinted one-pass reconstruction" in
   (* ids already freed by a hint, kept only to diagnose bad hints — the
      hot path never touches this table until something goes wrong *)
-  let deleted = Proof.Idtab.create (Proof.Kernel.id_range kernel) in
+  let deleted = Trace.Idtab.create (Proof.Kernel.id_range kernel) in
   let src = Driver.source ?format ?first_pass source in
   let bad_hint id reason =
     Proof.Diagnostics.fail
@@ -44,7 +44,7 @@ let check ?mem_limit ?format ?first_pass formula source =
     match Proof.Kernel.peek kernel id with
     | Some h -> h
     | None ->
-      if Proof.Idtab.mem deleted id then
+      if Trace.Idtab.mem deleted id then
         bad_hint id "is referenced after its delete hint"
       else Proof.Kernel.find kernel ~context id
   in
@@ -53,10 +53,10 @@ let check ?mem_limit ?format ?first_pass formula source =
       (fun id ->
         match Proof.Kernel.peek kernel id with
         | Some _ ->
-          Proof.Idtab.replace deleted id ();
+          Trace.Idtab.replace deleted id ();
           Proof.Kernel.release_id kernel id
         | None ->
-          if Proof.Idtab.mem deleted id then bad_hint id "is deleted twice"
+          if Trace.Idtab.mem deleted id then bad_hint id "is deleted twice"
           else if Proof.Kernel.is_original kernel id then
             bad_hint id "is an original clause that was never referenced"
           else bad_hint id "is not defined at this point in the trace")

@@ -1,3 +1,5 @@
+module Idtab = Trace.Idtab
+
 type t = {
   db : Clause_db.t;
   formula : Sat.Cnf.t;

@@ -36,9 +36,9 @@ val is_original : t -> int -> bool
 (** {2 The id → clause table} *)
 
 (** [id_range t] bounds the dense part of every id table of the check
-    ({!Idtab}): [num_original], widened by 2 per learned record the
+    ({!Trace.Idtab}): [num_original], widened by 2 per learned record the
     kernel's streams read. *)
-val id_range : t -> Idtab.range
+val id_range : t -> Trace.Idtab.range
 
 (** [define t id h] binds [id] to [h], transferring one reference to the
     table. *)
@@ -153,7 +153,7 @@ val stream_pass :
     records — what the depth-first checker and the interpolator keep in
     memory. *)
 type proof = {
-  sources : int array Idtab.t;
+  sources : int array Trace.Idtab.t;
   l0 : Level0.t;
   final_conflict : int option;
   total_learned : int;
@@ -182,7 +182,8 @@ type 'a builder
 
 (** [builder t ~sources spec] prepares on-demand reconstruction through
     the resolve-source lists in [sources]. *)
-val builder : t -> sources:int array Idtab.t -> 'a annotation -> 'a builder
+val builder :
+  t -> sources:int array Trace.Idtab.t -> 'a annotation -> 'a builder
 
 (** [build b id] reconstructs clause [id] (memoised in the kernel's id
     table) with an explicit work stack, so arbitrarily deep proofs cannot

@@ -1,4 +1,4 @@
-(* Id table tests: [Proof.Idtab] against a [Hashtbl] model over random
+(* Id table tests: [Trace.Idtab] against a [Hashtbl] model over random
    replace, find and remove operations on dense, sparse, near-[max_int],
    zero and negative ids; the dense part's documented bound; and no id
    reaching the overflow when solver traces are checked. *)
@@ -45,13 +45,13 @@ let ops_arb =
    key. *)
 let agrees_with_hashtbl (limit, ops) =
   let limit = ref limit in
-  let r = Proof.Idtab.range !limit in
-  let t = Proof.Idtab.create r in
+  let r = Trace.Idtab.range !limit in
+  let t = Trace.Idtab.create r in
   let model = Hashtbl.create 64 in
   let same id =
-    Proof.Idtab.find_opt t id = Hashtbl.find_opt model id
-    && Proof.Idtab.mem t id = Hashtbl.mem model id
-    && (match Proof.Idtab.find t id with
+    Trace.Idtab.find_opt t id = Hashtbl.find_opt model id
+    && Trace.Idtab.mem t id = Hashtbl.mem model id
+    && (match Trace.Idtab.find t id with
         | v -> Hashtbl.find_opt model id = Some v
         | exception Not_found -> not (Hashtbl.mem model id))
   in
@@ -60,47 +60,47 @@ let agrees_with_hashtbl (limit, ops) =
       let touched =
         match op with
         | Replace (id, v) ->
-          Proof.Idtab.replace t id v;
+          Trace.Idtab.replace t id v;
           Hashtbl.replace model id v;
           same id
         | Find id -> same id
         | Remove id ->
-          Proof.Idtab.remove t id;
+          Trace.Idtab.remove t id;
           Hashtbl.remove model id;
           same id
         | Widen k ->
-          Proof.Idtab.widen r k;
+          Trace.Idtab.widen r k;
           limit := !limit + k;
           true
       in
-      touched && Proof.Idtab.capacity t <= !limit + 1)
+      touched && Trace.Idtab.capacity t <= !limit + 1)
     ops
-  && Proof.Idtab.keys t
+  && Trace.Idtab.keys t
      = List.sort Int.compare (Hashtbl.fold (fun k _ acc -> k :: acc) model [])
 
 (* a full dense part keeps every id within it, and ids past the range
    stay out of it until the range reaches them *)
 let test_bound () =
-  let r = Proof.Idtab.range 100 in
-  let t = Proof.Idtab.create r in
+  let r = Trace.Idtab.range 100 in
+  let t = Trace.Idtab.create r in
   for id = 1 to 100 do
-    Proof.Idtab.replace t id id
+    Trace.Idtab.replace t id id
   done;
-  Proof.Idtab.replace t 1_000_000_000_000 0;
+  Trace.Idtab.replace t 1_000_000_000_000 0;
   Alcotest.check Alcotest.int "dense part within the range" 101
-    (Proof.Idtab.capacity t);
-  Proof.Idtab.replace t 150 150;
+    (Trace.Idtab.capacity t);
+  Trace.Idtab.replace t 150 150;
   Alcotest.check Alcotest.int "still within the range" 101
-    (Proof.Idtab.capacity t);
-  Proof.Idtab.widen r 100;
-  Proof.Idtab.replace t 101 101;
+    (Trace.Idtab.capacity t);
+  Trace.Idtab.widen r 100;
+  Trace.Idtab.replace t 101 101;
   Alcotest.check Alcotest.bool "grows once the range allows it" true
-    (Proof.Idtab.capacity t > 150 && Proof.Idtab.capacity t <= 201);
+    (Trace.Idtab.capacity t > 150 && Trace.Idtab.capacity t <= 201);
   Alcotest.check (Alcotest.option Alcotest.int) "moved in from the overflow"
-    (Some 150) (Proof.Idtab.find_opt t 150);
+    (Some 150) (Trace.Idtab.find_opt t 150);
   Alcotest.check (Alcotest.list Alcotest.int) "keys"
     (List.init 101 (fun i -> i + 1) @ [ 150; 1_000_000_000_000 ])
-    (Proof.Idtab.keys t)
+    (Trace.Idtab.keys t)
 
 (* A solver numbers its learned clauses in stream order, so no check of
    its traces stores an id outside a dense part. *)
@@ -116,7 +116,7 @@ let test_solver_traces_stay_dense () =
       let src = Trace.Reader.From_string trace in
       List.iter
         (fun (strategy, check) ->
-          let before = Proof.Idtab.overflow_stores () in
+          let before = Trace.Idtab.overflow_stores () in
           (match check f src with
            | Ok _ -> ()
            | Error d ->
@@ -125,7 +125,7 @@ let test_solver_traces_stay_dense () =
           Alcotest.check Alcotest.int
             (Printf.sprintf "%s %s: overflow stores" name strategy)
             before
-            (Proof.Idtab.overflow_stores ()))
+            (Trace.Idtab.overflow_stores ()))
         Helpers.strategies)
     [ "php_8"; "bw_grid" ]
 
