@@ -60,9 +60,6 @@ let scope ?cat name f =
     Fun.protect ~finally:(fun () -> leave s) f
   end
 
-let instant ?cat name =
-  if Ctl.on () then leave (enter ?cat name)
-
 let count () =
   Mutex.lock lock;
   let n = !n_events in

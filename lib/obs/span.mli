@@ -30,9 +30,6 @@ val leave : span -> unit
     recorded even when [f] raises. *)
 val scope : ?cat:string -> string -> (unit -> 'a) -> 'a
 
-(** [instant ?cat name] records a zero-duration event. *)
-val instant : ?cat:string -> string -> unit
-
 (** [count ()] is the number of recorded events. *)
 val count : unit -> int
 
