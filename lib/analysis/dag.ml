@@ -58,12 +58,20 @@ type ibuf = {
 
 let ibuf_create cap = { a = Array.make (max cap 16) 0; n = 0 }
 
-let ibuf_push b x =
-  if b.n = Array.length b.a then begin
-    let a' = Array.make (2 * Array.length b.a) 0 in
-    Array.blit b.a 0 a' 0 b.n;
+(* [ibuf_reserve b k] makes room for [k] more values.  The copy is an
+   int loop: [Array.blit] into an array on the major heap would go
+   through the write barrier for every word. *)
+let ibuf_reserve b k =
+  if b.n + k > Array.length b.a then begin
+    let a' = Array.make (max (b.n + k) (2 * Array.length b.a)) 0 in
+    for i = 0 to b.n - 1 do
+      Array.unsafe_set a' i (Array.unsafe_get b.a i)
+    done;
     b.a <- a'
-  end;
+  end
+
+let ibuf_push b x =
+  ibuf_reserve b 1;
   b.a.(b.n) <- x;
   b.n <- b.n + 1
 
@@ -93,7 +101,8 @@ type stream = {
   mutable n_learned : int;
   mutable n_level0 : int;
   mutable header : (int * int) option;  (* nvars, num_original *)
-  slot_of_id : (int, int) Hashtbl.t;    (* learned id -> slot *)
+  id_range : Trace.Idtab.range;  (* num_original + 2 per learned record *)
+  slot_of_id : int Trace.Idtab.t;  (* learned id -> slot *)
   ids : ibuf;   (* slot -> clause id *)
   ord : ibuf;   (* slot -> record ordinal of the definition *)
   dpos : ibuf;  (* slot -> definition position (line or byte) *)
@@ -102,6 +111,7 @@ type stream = {
   arcs : ibuf;  (* flattened antecedent ids *)
   l0_ante : ibuf;  (* pre-conflict level-0 antecedent ids *)
   l0_ord : ibuf;
+  pins : ibuf;  (* every level-0 antecedent and every conflict id *)
   mutable conflict : (int * int * int) option;  (* id, ordinal, position *)
 }
 
@@ -112,6 +122,7 @@ let pos_int = function
 let pos_of t n = if t.s_binary then Trace.Reader.Byte n else Trace.Reader.Line n
 
 let stream_start ?(max_diagnostics = 100) ~binary () =
+  let id_range = Trace.Idtab.range 0 in
   {
     cap = max max_diagnostics 0;
     s_binary = binary;
@@ -121,7 +132,8 @@ let stream_start ?(max_diagnostics = 100) ~binary () =
     n_learned = 0;
     n_level0 = 0;
     header = None;
-    slot_of_id = Hashtbl.create 1024;
+    id_range;
+    slot_of_id = Trace.Idtab.create id_range;
     ids = ibuf_create 1024;
     ord = ibuf_create 1024;
     dpos = ibuf_create 1024;
@@ -130,8 +142,16 @@ let stream_start ?(max_diagnostics = 100) ~binary () =
     arcs = ibuf_create 4096;
     l0_ante = ibuf_create 64;
     l0_ord = ibuf_create 64;
+    pins = ibuf_create 64;
     conflict = None;
   }
+
+(* [slot t id] is the slot of the learned record defining [id], or [-1]
+   when none does: one dense-table read for a solver's ids. *)
+let slot t id =
+  match Trace.Idtab.find t.slot_of_id id with
+  | j -> j
+  | exception Not_found -> -1
 
 let fail t pos fmt =
   Printf.ksprintf
@@ -157,26 +177,36 @@ let stream_event t pos (e : Trace.Event.t) =
           if h.nvars <= 0 || h.num_original <= 0 then
             fail t pos "header declares %d variables, %d original clauses"
               h.nvars h.num_original
-          else t.header <- Some (h.nvars, h.num_original))
+          else begin
+            t.header <- Some (h.nvars, h.num_original);
+            Trace.Idtab.widen t.id_range h.num_original
+          end)
      | Trace.Event.Learned { id; sources } ->
        t.n_learned <- t.n_learned + 1;
+       Trace.Idtab.widen t.id_range 2;
        let norig = match t.header with Some (_, n) -> n | None -> 0 in
        if id <= norig then
          fail t pos "learned-clause id %d lies in the original range 1..%d" id
            norig
-       else if Hashtbl.mem t.slot_of_id id then
+       else if Trace.Idtab.mem t.slot_of_id id then
          fail t pos "learned-clause id %d defined twice" id
        else begin
-         Hashtbl.replace t.slot_of_id id t.ids.n;
+         Trace.Idtab.replace t.slot_of_id id t.ids.n;
          ibuf_push t.ids id;
          ibuf_push t.ord ordinal;
          ibuf_push t.dpos (pos_int pos);
          ibuf_push t.off t.arcs.n;
          ibuf_push t.len (Array.length sources);
-         Array.iter (fun s -> ibuf_push t.arcs s) sources
+         let l = Array.length sources in
+         ibuf_reserve t.arcs l;
+         for k = 0 to l - 1 do
+           t.arcs.a.(t.arcs.n + k) <- sources.(k)
+         done;
+         t.arcs.n <- t.arcs.n + l
        end
      | Trace.Event.Level0 { ante; _ } ->
        t.n_level0 <- t.n_level0 + 1;
+       ibuf_push t.pins ante;
        (* roots of the reachability closure — but only while the proof is
           still in progress: trailing level-0 records after the conflict
           are dropped by the trimmer and must not revive dead clauses *)
@@ -185,6 +215,7 @@ let stream_event t pos (e : Trace.Event.t) =
          ibuf_push t.l0_ord ordinal
        end
      | Trace.Event.Final_conflict id ->
+       ibuf_push t.pins id;
        if t.conflict = None then
          t.conflict <- Some (id, ordinal, pos_int pos)
      | Trace.Event.Delete _ ->
@@ -229,9 +260,21 @@ let sweep_peak ~n_events ~selected ~ord_of ~last_use_of count =
     diff;
   !peak
 
-(* [finish_internal] seals the stream and additionally returns the
-   reachability predicate over learned ids, which the trimmer's second
-   pass filters with. *)
+let set_table_bytes words =
+  if Obs.Ctl.on () then Obs.Metrics.Gauge.set g_bytes (float (8 * words))
+
+(* What the trimmer and the hint converter need beyond the profile. *)
+type sealed = {
+  profile : profile;
+  reach : bool array;    (* slot -> reachable from the conflict and roots *)
+  last_use : int array;  (* slot -> ordinal of its last use, or -1 *)
+  words : int;           (* the tables' size, in words *)
+}
+
+(* [finish_internal] seals the stream.  Every table is indexed by slot,
+   and an id reaches its slot through [slot_of_id]: one lookup per arc
+   for classification and depth together, and one per arc of a
+   reachable clause for the closure and the hybrid sweep. *)
 let finish_internal ?end_pos t =
   let end_pos = match end_pos with Some p -> p | None -> t.end_pos in
   match t.err with
@@ -247,10 +290,8 @@ let finish_internal ?end_pos t =
          }
      | Some (nvars, norig), Some (conflict_id, conflict_ord, conflict_pos) ->
        let n = t.ids.n in
-       let defined id =
-         id >= 1 && (id <= norig || Hashtbl.mem t.slot_of_id id)
-       in
-       if not (defined conflict_id) then
+       let original id = id >= 1 && id <= norig in
+       if not (original conflict_id || slot t conflict_id >= 0) then
          Error
            {
              pos = pos_of t conflict_pos;
@@ -259,7 +300,8 @@ let finish_internal ?end_pos t =
                  conflict_id;
            }
        else begin
-         let slot id = Hashtbl.find_opt t.slot_of_id id in
+         let arcs = t.arcs.a and off = t.off.a and len = t.len.a in
+         let ord = t.ord.a in
          (* -- pass over the arcs: reference classes, depth, uses -------- *)
          let forward_refs = ref 0 and dangling_refs = ref 0 in
          let depth = Array.make (max n 1) 0 in
@@ -269,85 +311,101 @@ let finish_internal ?end_pos t =
            if ordinal > last_use.(j) then last_use.(j) <- ordinal;
            if ordinal < first_use.(j) then first_use.(j) <- ordinal
          in
-         let classify ~ordinal ~def_slot s =
-           (* [def_slot] is the slot being defined, or [-1] for level-0 /
-              conflict reference sites *)
-           if s >= 1 && s <= norig then ()
-           else
-             match slot s with
-             | None -> incr dangling_refs
-             | Some j ->
-               if def_slot >= 0 && j >= def_slot then incr forward_refs
-               else if def_slot < 0 && ibuf_get t.ord j > ordinal then
-                 incr forward_refs
-               else use ~ordinal j
-         in
          for i = 0 to n - 1 do
-           let o = ibuf_get t.off i and l = ibuf_get t.len i in
-           let ordinal = ibuf_get t.ord i in
+           let ordinal = ord.(i) in
            let d = ref 0 in
-           for k = o to o + l - 1 do
-             let s = ibuf_get t.arcs k in
-             classify ~ordinal ~def_slot:i s;
-             (match slot s with
-              | Some j when j < i -> if depth.(j) > !d then d := depth.(j)
-              | Some _ | None -> ())
+           for k = off.(i) to off.(i) + len.(i) - 1 do
+             let s = arcs.(k) in
+             if not (original s) then begin
+               let j = slot t s in
+               if j < 0 then incr dangling_refs
+               else if j >= i then incr forward_refs
+               else begin
+                 use ~ordinal j;
+                 if depth.(j) > !d then d := depth.(j)
+               end
+             end
            done;
            depth.(i) <- !d + 1
          done;
+         (* level-0 antecedents and the conflict reference without
+            defining *)
+         let site ~ordinal s =
+           if not (original s) then begin
+             let j = slot t s in
+             if j < 0 then incr dangling_refs
+             else if ord.(j) > ordinal then incr forward_refs
+             else use ~ordinal j
+           end
+         in
          for k = 0 to t.l0_ante.n - 1 do
-           classify ~ordinal:(ibuf_get t.l0_ord k) ~def_slot:(-1)
-             (ibuf_get t.l0_ante k)
+           site ~ordinal:(ibuf_get t.l0_ord k) (ibuf_get t.l0_ante k)
          done;
-         classify ~ordinal:conflict_ord ~def_slot:(-1) conflict_id;
+         site ~ordinal:conflict_ord conflict_id;
          (* -- backward reachability from the conflict + level-0 roots -- *)
          let reach = Array.make (max n 1) false in
          let orig_used = Array.make (norig + 1) false in
-         let stack = ref [] in
+         let stack = Array.make (max n 1) 0 and top = ref 0 in
          let root id =
-           if id >= 1 && id <= norig then orig_used.(id) <- true
-           else
-             match slot id with
-             | Some j when not reach.(j) ->
+           if original id then orig_used.(id) <- true
+           else begin
+             let j = slot t id in
+             if j >= 0 && not reach.(j) then begin
                reach.(j) <- true;
-               stack := j :: !stack
-             | Some _ | None -> ()
+               stack.(!top) <- j;
+               incr top
+             end
+           end
          in
          root conflict_id;
          for k = 0 to t.l0_ante.n - 1 do
            root (ibuf_get t.l0_ante k)
          done;
-         while !stack <> [] do
-           match !stack with
-           | [] -> ()
-           | i :: rest ->
-             stack := rest;
-             let o = ibuf_get t.off i and l = ibuf_get t.len i in
-             for k = o to o + l - 1 do
-               root (ibuf_get t.arcs k)
-             done
+         while !top > 0 do
+           decr top;
+           let i = stack.(!top) in
+           for k = off.(i) to off.(i) + len.(i) - 1 do
+             root arcs.(k)
+           done
          done;
          let reachable_learned = ref 0 in
-         Array.iteri (fun i r -> if r && i < n then incr reachable_learned)
-           reach;
+         for i = 0 to n - 1 do
+           if reach.(i) then incr reachable_learned
+         done;
          let reachable_learned = !reachable_learned in
          let core_originals = ref 0 in
          Array.iter (fun u -> if u then incr core_originals) orig_used;
          (* -- duplicate derivations ------------------------------------- *)
+         (* Open addressing over the chains' slices of [arcs]: [firsts]
+            holds the slot of each distinct chain's first derivation, at
+            most half full. *)
          let dup_of = Array.make (max n 1) (-1) in
-         let chains = Hashtbl.create (max n 16) in
-         let key = Buffer.create 64 in
-         for i = 0 to n - 1 do
-           Buffer.clear key;
-           let o = ibuf_get t.off i and l = ibuf_get t.len i in
-           for k = o to o + l - 1 do
-             Buffer.add_string key (string_of_int (ibuf_get t.arcs k));
-             Buffer.add_char key ','
+         let buckets = ref 16 in
+         while !buckets < 2 * n do
+           buckets := 2 * !buckets
+         done;
+         let mask = !buckets - 1 in
+         let firsts = Array.make !buckets (-1) in
+         let same_chain i j =
+           len.(i) = len.(j)
+           &&
+           let k = ref 0 in
+           while !k < len.(i) && arcs.(off.(i) + !k) = arcs.(off.(j) + !k) do
+             incr k
            done;
-           let k = Buffer.contents key in
-           match Hashtbl.find_opt chains k with
-           | Some first -> dup_of.(i) <- first
-           | None -> Hashtbl.replace chains k i
+           !k = len.(i)
+         in
+         for i = 0 to n - 1 do
+           let h = ref len.(i) in
+           for k = off.(i) to off.(i) + len.(i) - 1 do
+             h := (!h lxor arcs.(k)) * 0x2545F4914F6CDD1D
+           done;
+           let b = ref ((!h lxor (!h lsr 32)) land mask) in
+           while firsts.(!b) >= 0 && not (same_chain firsts.(!b) i) do
+             b := (!b + 1) land mask
+           done;
+           if firsts.(!b) >= 0 then dup_of.(i) <- firsts.(!b)
+           else firsts.(!b) <- i
          done;
          (* -- shape: depth histogram, per-depth width, fan-in ----------- *)
          let max_depth = Array.fold_left max 0 (Array.sub depth 0 n) in
@@ -365,7 +423,7 @@ let finish_internal ?end_pos t =
            width;
          let max_fanin = ref 0 in
          for i = 0 to n - 1 do
-           if ibuf_get t.len i > !max_fanin then max_fanin := ibuf_get t.len i
+           if len.(i) > !max_fanin then max_fanin := len.(i)
          done;
          (* -- lifetimes ------------------------------------------------- *)
          let lifetimes = ref [] and gaps = ref [] in
@@ -375,8 +433,8 @@ let finish_internal ?end_pos t =
          for i = 0 to n - 1 do
            if last_use.(i) >= 0 then begin
              incr used;
-             let span = last_use.(i) - ibuf_get t.ord i in
-             let gap = first_use.(i) - ibuf_get t.ord i in
+             let span = last_use.(i) - ord.(i) in
+             let gap = first_use.(i) - ord.(i) in
              lifetimes := span :: !lifetimes;
              gaps := gap :: !gaps;
              lifetime_sum := !lifetime_sum + span;
@@ -387,7 +445,7 @@ let finish_internal ?end_pos t =
          done;
          let mean sum = if !used = 0 then 0.0 else float sum /. float !used in
          (* -- predicted peaks ------------------------------------------- *)
-         let ord_of i = ibuf_get t.ord i in
+         let ord_of i = ord.(i) in
          let bf_peak =
            sweep_peak ~n_events:t.n_events
              ~selected:(fun _ -> true)
@@ -403,23 +461,25 @@ let finish_internal ?end_pos t =
            if ordinal > hyb_last.(j) then hyb_last.(j) <- ordinal
          in
          for i = 0 to n - 1 do
-           if reach.(i) then begin
-             let o = ibuf_get t.off i and l = ibuf_get t.len i in
-             for k = o to o + l - 1 do
-               match slot (ibuf_get t.arcs k) with
-               | Some j when j < i -> hyb_use ~ordinal:(ibuf_get t.ord i) j
-               | Some _ | None -> ()
+           if reach.(i) then
+             for k = off.(i) to off.(i) + len.(i) - 1 do
+               let s = arcs.(k) in
+               if not (original s) then begin
+                 let j = slot t s in
+                 if j >= 0 && j < i then hyb_use ~ordinal:ord.(i) j
+               end
              done
+         done;
+         let hyb_site ~ordinal s =
+           if not (original s) then begin
+             let j = slot t s in
+             if j >= 0 then hyb_use ~ordinal j
            end
-         done;
+         in
          for k = 0 to t.l0_ante.n - 1 do
-           match slot (ibuf_get t.l0_ante k) with
-           | Some j -> hyb_use ~ordinal:(ibuf_get t.l0_ord k) j
-           | None -> ()
+           hyb_site ~ordinal:(ibuf_get t.l0_ord k) (ibuf_get t.l0_ante k)
          done;
-         (match slot conflict_id with
-          | Some j -> hyb_use ~ordinal:conflict_ord j
-          | None -> ());
+         hyb_site ~ordinal:conflict_ord conflict_id;
          let hybrid_peak =
            sweep_peak ~n_events:t.n_events
              ~selected:(fun i -> reach.(i))
@@ -435,62 +495,72 @@ let finish_internal ?end_pos t =
            }
          in
          (* -- L5xx diagnostics, in record order ------------------------- *)
+         (* a message is formatted only for a diagnostic the cap keeps *)
          let dup_count = ref 0 and singleton_count = ref 0 in
          let dead_count = ref 0 in
          let diags = ref [] and kept = ref 0 and dropped = ref 0 in
-         let warnings = ref 0 in
-         let counts = Hashtbl.create 8 in
-         let emit i code fmt =
-           Printf.ksprintf
-             (fun message ->
-               incr warnings;
-               Lint.count_code counts code;
-               if !kept < t.cap then begin
-                 incr kept;
-                 diags :=
-                   { Lint.code; pos = pos_of t (ibuf_get t.dpos i); message }
-                   :: !diags
-               end
-               else incr dropped)
-             fmt
+         let emit i code message =
+           if !kept < t.cap then begin
+             incr kept;
+             let pos = pos_of t (ibuf_get t.dpos i) in
+             diags := { Lint.code; pos; message = message () } :: !diags
+           end
+           else incr dropped
          in
          for i = 0 to n - 1 do
            let id = ibuf_get t.ids i in
            if dup_of.(i) >= 0 then begin
              incr dup_count;
-             emit i Lint.Duplicate_derivation
-               "clause %d repeats the derivation of clause %d" id
-               (ibuf_get t.ids dup_of.(i))
+             emit i Lint.Duplicate_derivation (fun () ->
+                 Printf.sprintf "clause %d repeats the derivation of clause %d"
+                   id
+                   (ibuf_get t.ids dup_of.(i)))
            end;
-           if ibuf_get t.len i = 1 then begin
+           if len.(i) = 1 then begin
              incr singleton_count;
-             emit i Lint.Singleton_chain
-               "clause %d is derived from the single source %d" id
-               (ibuf_get t.arcs (ibuf_get t.off i))
+             emit i Lint.Singleton_chain (fun () ->
+                 Printf.sprintf "clause %d is derived from the single source %d"
+                   id arcs.(off.(i)))
            end;
            if not reach.(i) then begin
              incr dead_count;
-             emit i Lint.Dead_derivation
-               "clause %d is never used to reach the final conflict" id
+             emit i Lint.Dead_derivation (fun () ->
+                 Printf.sprintf
+                   "clause %d is never used to reach the final conflict" id)
            end
          done;
+         let by_code =
+           List.filter
+             (fun (_, count) -> count > 0)
+             [
+               (Lint.code_id Lint.Dead_derivation, !dead_count);
+               (Lint.code_id Lint.Duplicate_derivation, !dup_count);
+               (Lint.code_id Lint.Singleton_chain, !singleton_count);
+             ]
+           |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+         in
          (* -- telemetry: the analysis footprint is a few int tables ----- *)
+         let id_slots = Trace.Idtab.capacity t.slot_of_id in
+         let words =
+           Array.length t.ids.a + Array.length t.ord.a
+           + Array.length t.dpos.a + Array.length t.off.a
+           + Array.length t.len.a + Array.length t.arcs.a
+           + Array.length t.l0_ante.a + Array.length t.l0_ord.a
+           + Array.length t.pins.a
+           (* the id table's dense part: a word and a byte per slot *)
+           + id_slots + ((id_slots + 7) / 8)
+           + Array.length depth + Array.length last_use
+           + Array.length first_use + Array.length hyb_last
+           + Array.length dup_of + Array.length firsts
+           + Array.length reach + Array.length stack
+           + Array.length orig_used + Array.length width
+           + (2 * (t.n_events + 2))
+         in
          if Obs.Ctl.on () then begin
            Obs.Metrics.Counter.incr m_dead !dead_count;
            Obs.Metrics.Counter.incr m_duplicates !dup_count;
            Obs.Metrics.Gauge.set g_ids (float (n + norig));
-           let words =
-             Array.length t.ids.a + Array.length t.ord.a
-             + Array.length t.dpos.a + Array.length t.off.a
-             + Array.length t.len.a + Array.length t.arcs.a
-             + Array.length t.l0_ante.a + Array.length t.l0_ord.a
-             + Array.length depth + Array.length last_use
-             + Array.length first_use + Array.length hyb_last
-             + Array.length dup_of + Array.length reach
-             + Array.length orig_used + Array.length width
-             + (2 * (t.n_events + 2))
-           in
-           Obs.Metrics.Gauge.set g_bytes (float (8 * words))
+           set_table_bytes words
          end;
          let profile =
            {
@@ -522,23 +592,18 @@ let finish_internal ?end_pos t =
              first_gap_max = !gap_max;
              first_gap_mean = mean !gap_sum;
              predicted_peak_live;
-             warnings = !warnings;
+             warnings = !dup_count + !singleton_count + !dead_count;
              dropped = !dropped;
-             by_code = Lint.code_counts counts;
+             by_code;
              diagnostics = List.rev !diags;
            }
          in
-         let reachable id =
-           match Hashtbl.find_opt t.slot_of_id id with
-           | Some i -> reach.(i)
-           | None -> false
-         in
-         Ok (profile, reachable)
+         Ok { profile; reach; last_use; words }
        end)
 
 let stream_finish ?end_pos t =
   match finish_internal ?end_pos t with
-  | Ok (profile, _) -> Ok profile
+  | Ok s -> Ok s.profile
   | Error e -> Error e
 
 (* --- one-shot drivers ---------------------------------------------------- *)
@@ -587,7 +652,11 @@ let trim ?format ?max_diagnostics source w =
   | Ok t, end_pos ->
     (match finish_internal ~end_pos t with
      | Error e -> Error e
-     | Ok (profile, reachable) ->
+     | Ok { profile; reach; _ } ->
+       let reachable id =
+         let j = slot t id in
+         j >= 0 && reach.(j)
+       in
        if profile.forward_refs > 0 || profile.dangling_refs > 0 then
          Error
            {
@@ -671,7 +740,9 @@ type hint_stats = {
    use (dead derivations right after their own definition), except ids
    the empty-clause construction needs at the very end — the final
    conflict and every level-0 antecedent stay pinned.  Existing hints in
-   the input are discarded and regenerated, so hinting is idempotent. *)
+   the input are discarded and regenerated, so hinting is idempotent.
+   The schedule comes from the tables the analysis pass holds, so the
+   emitting read is the only re-read. *)
 let hint ?format ?max_diagnostics source w =
   Obs.Span.scope ~cat:"analysis" "dag.hint" @@ fun () ->
   if Trace.Writer.version w < 2 then
@@ -681,7 +752,7 @@ let hint ?format ?max_diagnostics source w =
   | Ok t, end_pos ->
     (match finish_internal ~end_pos t with
      | Error e -> Error e
-     | Ok (profile, _reachable) ->
+     | Ok { profile; last_use; words; _ } ->
        if profile.forward_refs > 0 || profile.dangling_refs > 0 then
          Error
            {
@@ -693,40 +764,71 @@ let hint ?format ?max_diagnostics source w =
                  profile.forward_refs profile.dangling_refs;
            }
        else begin
-         (* pass two: last-use ordinal of every referenced id, originals
-            included (the stream pass only tracks learned lifetimes);
-            level-0 antecedents and the conflict clause are pinned — the
-            empty-clause construction resolves with them after the last
-            trace record *)
-         let last_use = Hashtbl.create 1024 in
-         let pinned_ids = Hashtbl.create 64 in
+         (* One index per clause: an original is its own id, learned
+            slot [j] is [norig + 1 + j]. *)
+         let norig = profile.originals and n = t.ids.n in
+         let nodes = norig + 1 + n in
+         let id_of x =
+           if x <= norig then x else ibuf_get t.ids (x - norig - 1)
+         in
+         (* last uses: the last learned record naming the clause as a
+            source.  A learned clause's is [last_use]: with every
+            reference in order, its only other uses are at the pinned
+            level-0 and conflict sites. *)
+         let arcs = t.arcs.a and off = t.off.a and len = t.len.a in
+         let last = Array.make nodes (-1) in
+         for i = 0 to n - 1 do
+           for k = off.(i) to off.(i) + len.(i) - 1 do
+             if arcs.(k) <= norig then last.(arcs.(k)) <- ibuf_get t.ord i
+           done;
+           last.(norig + 1 + i) <- last_use.(i)
+         done;
+         (* pins: the empty-clause construction resolves with them after
+            the last trace record; ids no record defines count too *)
+         let pinned = Bytes.make nodes '\000' in
+         let strays = ref [] in
+         for k = 0 to t.pins.n - 1 do
+           let p = ibuf_get t.pins k in
+           if p >= 1 && p <= norig then Bytes.set pinned p '\001'
+           else
+             match slot t p with
+             | -1 -> strays := p :: !strays
+             | j -> Bytes.set pinned (norig + 1 + j) '\001'
+         done;
+         let n_pinned = ref (List.length (List.sort_uniq compare !strays)) in
+         Bytes.iter (fun c -> if c <> '\000' then incr n_pinned) pinned;
+         (* die_at: the unpinned ids bucketed by the ordinal of their
+            last use, [die.(fin.(o)) .. die.(fin.(o + 1) - 1)] for the
+            record at ordinal [o] *)
+         let dies x = last.(x) >= 0 && Bytes.get pinned x = '\000' in
+         let fin = Array.make (t.n_events + 1) 0 in
+         let total = ref 0 in
+         for x = 1 to nodes - 1 do
+           if dies x then begin
+             fin.(last.(x)) <- fin.(last.(x)) + 1;
+             incr total
+           end
+         done;
+         for o = 1 to t.n_events do
+           fin.(o) <- fin.(o) + fin.(o - 1)
+         done;
+         let die = Array.make !total 0 in
+         for x = 1 to nodes - 1 do
+           if dies x then begin
+             let o = last.(x) in
+             fin.(o) <- fin.(o) - 1;
+             die.(fin.(o)) <- id_of x
+           end
+         done;
+         set_table_bytes
+           (words + nodes + ((nodes + 7) / 8) + Array.length fin
+          + Array.length die);
+         (* the one re-read: re-emit with grouped deletes where ids
+            drain *)
          let cur = Trace.Reader.cursor ?format source in
-         let ord = ref 0 in
-         Trace.Reader.iter_cursor cur (fun e ->
-             (match e with
-              | Trace.Event.Header _ | Trace.Event.Delete _ -> ()
-              | Trace.Event.Learned l ->
-                Array.iter
-                  (fun s -> Hashtbl.replace last_use s !ord)
-                  l.sources
-              | Trace.Event.Level0 v -> Hashtbl.replace pinned_ids v.ante ()
-              | Trace.Event.Final_conflict id ->
-                Hashtbl.replace pinned_ids id ());
-             incr ord);
-         let die_at = Hashtbl.create 1024 in
-         Hashtbl.iter
-           (fun id o ->
-             if not (Hashtbl.mem pinned_ids id) then
-               Hashtbl.replace die_at o
-                 (id
-                 :: Option.value ~default:[] (Hashtbl.find_opt die_at o)))
-           last_use;
-         (* pass three: re-emit with grouped deletes where ids drain *)
-         Trace.Reader.rewind cur;
          let records_in = ref 0 and records_out = ref 0 in
          let hints = ref 0 and hinted = ref 0 and dropped = ref 0 in
          let seen_conflict = ref false in
-         let ord = ref 0 in
          let emit e =
            incr records_out;
            Trace.Writer.emit w e
@@ -737,9 +839,8 @@ let hint ?format ?max_diagnostics source w =
            hinted := !hinted + Array.length ids
          in
          Trace.Reader.iter_cursor cur (fun e ->
+             let o = !records_in in
              incr records_in;
-             let o = !ord in
-             incr ord;
              (match e with
               | Trace.Event.Delete _ -> incr dropped
               | Trace.Event.Final_conflict _ ->
@@ -748,18 +849,18 @@ let hint ?format ?max_diagnostics source w =
               | Trace.Event.Header _ | Trace.Event.Level0 _ -> emit e
               | Trace.Event.Learned l ->
                 emit e;
-                if
-                  (not !seen_conflict)
-                  && (not (Hashtbl.mem last_use l.id))
-                  && not (Hashtbl.mem pinned_ids l.id)
+                let x = norig + 1 + slot t l.id in
+                if (not !seen_conflict) && last.(x) < 0
+                   && Bytes.get pinned x = '\000'
                 then
                   (* dead derivation: checked, then freed on the spot *)
                   emit_delete [| l.id |]);
-             if not !seen_conflict then
-               match Hashtbl.find_opt die_at o with
-               | Some ids ->
-                 emit_delete (Array.of_list (List.sort compare ids))
-               | None -> ());
+             if (not !seen_conflict) && o < t.n_events && fin.(o + 1) > fin.(o)
+             then begin
+               let ids = Array.sub die fin.(o) (fin.(o + 1) - fin.(o)) in
+               Array.sort Int.compare ids;
+               emit_delete ids
+             end);
          Trace.Reader.close cur;
          Ok
            ( {
@@ -767,7 +868,7 @@ let hint ?format ?max_diagnostics source w =
                h_records_out = !records_out;
                hints = !hints;
                hinted_clauses = !hinted;
-               pinned = Hashtbl.length pinned_ids;
+               pinned = !n_pinned;
                dropped_hints = !dropped;
              },
              profile )

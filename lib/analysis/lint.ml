@@ -270,8 +270,7 @@ let count_code counts code =
   Hashtbl.replace counts id (n + 1)
 
 (* [code_counts counts] seals a per-code count table into the sorted
-   association list reports carry.  Shared with [Dag], whose semantic
-   diagnostics flow through the same machinery. *)
+   association list reports carry. *)
 let code_counts counts =
   Hashtbl.fold (fun id n acc -> (id, n) :: acc) counts []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)

@@ -183,10 +183,3 @@ val by_code_json : (string * int) list -> string
 (** [diagnostics_json l] renders diagnostics as the JSON array
     {!to_json} embeds. *)
 val diagnostics_json : diagnostic list -> string
-
-(** [code_counts tbl] seals a per-code count table into the sorted
-    association list reports carry. *)
-val code_counts : (string, int) Hashtbl.t -> (string * int) list
-
-(** [count_code tbl c] bumps [c]'s entry in a per-code count table. *)
-val count_code : (string, int) Hashtbl.t -> code -> unit
