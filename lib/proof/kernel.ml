@@ -423,22 +423,20 @@ let final_chain t ~l0 ~fetch ~combine ~conflict_id =
   (* the length booked for the running resolvent; -1 while it is still
      the conflict clause, which the store already holds *)
   let booked = ref (-1) and steps = ref 0 in
+  (* the order of the next level-0 record to try, walked down once *)
+  let cursor = ref (Level0.count l0 - 1) in
   while Resolvent.length acc > 0 do
     (* reverse chronological choice: the literal whose variable was
        assigned last — the paper's choose_literal, which guarantees
        termination in at most n resolutions.  Every literal has a level-0
-       record (the conflict's were checked false, each antecedent's by
-       [check_antecedent]) and orders are distinct, so the deepest
-       variable is unique in whatever order [iter] visits. *)
-    let v = ref (-1) and best = ref (-1) in
-    Resolvent.iter acc (fun l ->
-        let u = Sat.Lit.var l in
-        let o = Level0.order l0 u in
-        if o > !best then begin
-          best := o;
-          v := u
-        end);
-    let v = !v in
+       record at or below the cursor (the conflict's were checked false;
+       each antecedent's other literals by [check_antecedent], as earlier
+       than the pivot it replaced), so the first variable the cursor
+       meets is the deepest, and the cursor never moves back up. *)
+    while not (Resolvent.mem acc (Level0.var_at l0 !cursor)) do
+      decr cursor
+    done;
+    let v = Level0.var_at l0 !cursor in
     let ante_id = Level0.ante l0 v in
     let ha, aa = fetch ante_id in
     (match Level0.check_antecedent l0 ~var:v (Clause_db.lits db ha) with

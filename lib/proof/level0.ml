@@ -1,14 +1,28 @@
 type record = { value : bool; ante : int; order : int }
 
-type t = { tbl : (Sat.Lit.var, record) Hashtbl.t; mutable next : int }
+type t = {
+  tbl : (Sat.Lit.var, record) Hashtbl.t;
+  mutable vars : int array;  (* [vars.(i)]: the variable of order [i] *)
+  mutable next : int;
+}
 
-let create () = { tbl = Hashtbl.create 64; next = 0 }
+let create () = { tbl = Hashtbl.create 64; vars = Array.make 64 0; next = 0 }
 
 let add t ~var ~value ~ante =
   if Hashtbl.mem t.tbl var then
     Diagnostics.fail (Diagnostics.Level0_duplicate_var var);
   Hashtbl.replace t.tbl var { value; ante; order = t.next };
+  if t.next = Array.length t.vars then begin
+    let a = Array.make (2 * t.next) 0 in
+    Array.blit t.vars 0 a 0 t.next;
+    t.vars <- a
+  end;
+  t.vars.(t.next) <- var;
   t.next <- t.next + 1
+
+let var_at t i =
+  if i < 0 || i >= t.next then invalid_arg "Level0.var_at: no such order";
+  t.vars.(i)
 
 let count t = Hashtbl.length t.tbl
 let mem t v = Hashtbl.mem t.tbl v

@@ -10,13 +10,20 @@ type t
 (** [create ()] is an empty record set. *)
 val create : unit -> t
 
-(** [add t ~var ~value ~ante] registers the next chronological record.
+(** [add t ~var ~value ~ante] registers the next chronological record;
+    its order is the number of records before it.
     @raise Diagnostics.Check_failed with [Level0_duplicate_var] if [var]
     was already recorded. *)
 val add : t -> var:Sat.Lit.var -> value:bool -> ante:int -> unit
 
 val count : t -> int
 val mem : t -> Sat.Lit.var -> bool
+
+(** [var_at t i] is the variable of the record with order [i]: walking
+    [i] from [count t - 1] down to [0] visits the records in reverse
+    chronological order without a lookup per variable.
+    @raise Invalid_argument unless [0 <= i < count t]. *)
+val var_at : t -> int -> Sat.Lit.var
 
 (** [value t v] / [ante t v] / [order t v].
     @raise Diagnostics.Check_failed with [Level0_var_unrecorded] when [v]

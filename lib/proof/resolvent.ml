@@ -150,9 +150,7 @@ let start t (arena : arena) off n =
   done
 
 (* drop the variables resolved away from the touched stack and clear
-   their marks: each leaves the stack once, so a reader that compacts
-   first costs the running resolvent's width, not every variable the
-   chain has touched *)
+   their marks, so [blit] sorts only the running resolvent's variables *)
 let compact t =
   let live = ref 0 in
   for i = 0 to t.ntouched - 1 do
@@ -193,14 +191,10 @@ let to_array t =
   ignore (blit t a);
   a
 
-let iter t f =
-  compact t;
-  for i = 0 to t.ntouched - 1 do
-    let v = t.touched.(i) in
-    let m = Char.code (Bytes.get t.marks v) in
-    if m land 1 <> 0 then f (v lsl 1);
-    if m land 2 <> 0 then f ((v lsl 1) lor 1)
-  done
+(* a variable past the marks was never marked *)
+let mem t v =
+  v >= 0 && v < Bytes.length t.marks
+  && Char.code (Bytes.unsafe_get t.marks v) land 3 <> 0
 
 (* The slow path of a failed step: rebuild the diagnostic, the sorted
    running resolvent when nothing clashes, else the clashing variables

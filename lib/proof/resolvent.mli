@@ -55,12 +55,11 @@ val length : t -> int
     operands (the pivot's excluded) and so emitted once. *)
 val merges : t -> int
 
-(** [iter t f] applies [f] to each literal of the running resolvent, in
-    no particular order.  It first drops the variables resolved away
-    since the last {!iter} or {!blit}, so a call reads the running
-    resolvent's variables and those touched since, not every variable
-    the chain has touched. *)
-val iter : t -> (Sat.Lit.t -> unit) -> unit
+(** [mem t v] holds when the running resolvent has a literal over
+    variable [v], in either phase: one mark read, for any int [v].
+    {!Kernel.final_chain} walks the level-0 records down from the last
+    and takes the first variable [mem] finds as its pivot. *)
+val mem : t -> Sat.Lit.var -> bool
 
 (** [blit t dst] writes the running resolvent, sorted, into
     [dst.(0 .. length t - 1)] and returns [length t].
