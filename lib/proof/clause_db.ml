@@ -98,7 +98,11 @@ let charge db words =
   db.mem <- next;
   if next > db.peak_mem then db.peak_mem <- next
 
-let credit db words = db.mem <- max 0 (db.mem - words)
+(* an int test, not [Stdlib.max]: that one is polymorphic, a C call on
+   every resolution step through [unbook] *)
+let credit db words =
+  let next = db.mem - words in
+  db.mem <- (if next < 0 then 0 else next)
 
 let mem_words db = db.mem
 let peak_mem_words db = db.peak_mem
