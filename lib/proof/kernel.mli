@@ -198,10 +198,14 @@ val build : 'a builder -> int -> Clause_db.handle * 'a
     conflicting clause against recorded antecedents in reverse
     chronological order down to the empty clause, checking antecedent
     validity and pivot choice at each step.  Returns the final annotation
-    and the chain length.  The running resolvent lives in the kernel's
-    second {!Resolvent} accumulator, so [fetch] may build clauses through
-    {!chain}; each step counts one resolution step and is booked in the
-    store as {!chain}'s intermediates are, the empty clause included. *)
+    and the chain length.  Each pivot is the first variable of the
+    running resolvent that one walk down [l0]'s records meets
+    ({!Level0.var_at}), so apart from [fetch] the construction costs
+    O(records + total antecedent width), however wide the resolvent.
+    The running resolvent lives in the kernel's second {!Resolvent}
+    accumulator, so [fetch] may build clauses through {!chain}; each
+    step counts one resolution step and is booked in the store as
+    {!chain}'s intermediates are, the empty clause included. *)
 val final_chain :
   t ->
   l0:Level0.t ->
