@@ -16,10 +16,8 @@ let check ?mem_limit ?format ?first_pass formula source =
   in
   let conf_id = Driver.conflict proof.final_conflict in
   Driver.pass_two ~cat:"df" (fun () ->
-      let b =
-        Proof.Kernel.builder k ~sources:proof.sources
-          Proof.Kernel.unit_annotation
-      in
-      let fetch id = fst (Proof.Kernel.build b id) in
-      ignore (Driver.final_chain k ~l0:proof.l0 ~fetch conf_id));
+      let b = Proof.Kernel.builder k ~sources:proof.sources in
+      ignore
+        (Driver.final_chain k ~l0:proof.l0 ~miss:(Proof.Kernel.build b)
+           conf_id));
   Driver.report ~core:true k ~total_learned:proof.total_learned

@@ -24,13 +24,13 @@ let conflict = function
   | Some id -> id
   | None -> Proof.Diagnostics.fail Proof.Diagnostics.Missing_final_conflict
 
-let final_chain k ~l0 ?fetch conflict_id =
-  let fetch =
-    match fetch with
+let final_chain k ~l0 ?miss conflict_id =
+  let miss =
+    match miss with
     | Some f -> f
     | None -> Proof.Kernel.find k ~context:"empty-clause construction"
   in
-  Proof.Kernel.final_chain_ids k ~l0 ~fetch ~conflict_id
+  Proof.Kernel.final_chain k ~l0 ~miss ~conflict_id
 
 (* --- the report ----------------------------------------------------------- *)
 
@@ -115,10 +115,10 @@ let mark_needed u ~defs ~antes conflict_id =
 
 (* --- the rebuild pass ----------------------------------------------------- *)
 
-let rebuild k u ~context ?(needed_only = false) ?fetch ?drained
+let rebuild k u ~context ?(needed_only = false) ?miss ?drained
     ?(on_record = ignore) ?format source =
-  let fetch =
-    match fetch with Some f -> f | None -> Proof.Kernel.find k ~context
+  let miss =
+    match miss with Some f -> f | None -> Proof.Kernel.find k ~context
   in
   let drained =
     match drained with Some f -> f | None -> Proof.Kernel.release_id k
@@ -130,11 +130,14 @@ let rebuild k u ~context ?(needed_only = false) ?fetch ?drained
       let n = count u l.id in
       if n > 0 || not needed_only then begin
         let h =
-          Proof.Kernel.chain_ids k ~context ~fetch ~learned_id:l.id l.sources
+          Proof.Kernel.chain k ~context ~miss ~learned_id:l.id l.sources
         in
         if n > 0 then Proof.Kernel.define k l.id h
         else Proof.Clause_db.release (Proof.Kernel.db k) h;
-        Array.iter (fun s -> if drop u s then drained s) l.sources;
+        for i = 0 to Array.length l.sources - 1 do
+          let s = l.sources.(i) in
+          if drop u s then drained s
+        done;
         on_record l.id
       end
     | Trace.Event.Header _ | Trace.Event.Level0 _

@@ -45,13 +45,15 @@ val pass_two : cat:string -> (unit -> 'a) -> 'a
     @raise Proof.Diagnostics.Check_failed when there is none. *)
 val conflict : int option -> int
 
-(** [final_chain k ~l0 ?fetch conflict_id] resolves the final conflict
+(** [final_chain k ~l0 ?miss conflict_id] resolves the final conflict
     down to the empty clause (Proposition 3) and returns the chain
-    length.  [fetch] defaults to [Proof.Kernel.find]. *)
+    length.  [miss] supplies the clauses the kernel's id table does not
+    bind, as in [Proof.Kernel.chain]; it defaults to
+    [Proof.Kernel.find]. *)
 val final_chain :
   Proof.Kernel.t ->
   l0:Proof.Level0.t ->
-  ?fetch:(int -> Proof.Clause_db.handle) ->
+  ?miss:(int -> Proof.Clause_db.handle) ->
   int ->
   int
 
@@ -97,16 +99,17 @@ val mark_needed :
     clause with recorded uses is defined, others are checked and
     dropped; each of its sources then drops one use and is released
     when that was the last.  With [needed_only], clauses without
-    recorded uses are skipped rather than checked.  [fetch] looks up
-    operands (default [Proof.Kernel.find]), [drained id] releases a
-    clause whose uses drained (default [Proof.Kernel.release_id]), and
-    [on_record id] runs after each rebuilt clause. *)
+    recorded uses are skipped rather than checked.  [miss] supplies the
+    operands the kernel's id table does not bind (default
+    [Proof.Kernel.find]), [drained id] releases a clause whose uses
+    drained (default [Proof.Kernel.release_id]), and [on_record id] runs
+    after each rebuilt clause. *)
 val rebuild :
   Proof.Kernel.t ->
   uses ->
   context:string ->
   ?needed_only:bool ->
-  ?fetch:(int -> Proof.Clause_db.handle) ->
+  ?miss:(int -> Proof.Clause_db.handle) ->
   ?drained:(int -> unit) ->
   ?on_record:(int -> unit) ->
   ?format:Trace.Writer.format ->

@@ -37,16 +37,13 @@ let check ?mem_limit ?format ?first_pass formula source =
            failure = Proof.Diagnostics.Bad_delete_hint { id; reason };
          })
   in
-  (* Every clause lookup funnels through here so a reference to a clause
-     a hint already freed is reported as the bad hint it is, not as a
-     bare unknown id. *)
-  let fetch id =
-    match Proof.Kernel.peek kernel id with
-    | Some h -> h
-    | None ->
-      if Trace.Idtab.mem deleted id then
-        bad_hint id "is referenced after its delete hint"
-      else Proof.Kernel.find kernel ~context id
+  (* Every id the kernel's table does not bind funnels through here, so
+     a reference to a clause a hint already freed is reported as the bad
+     hint it is, not as a bare unknown id. *)
+  let miss id =
+    if Trace.Idtab.mem deleted id then
+      bad_hint id "is referenced after its delete hint"
+    else Proof.Kernel.find kernel ~context id
   in
   let delete ids =
     Array.iter
@@ -70,12 +67,12 @@ let check ?mem_limit ?format ?first_pass formula source =
          | Trace.Event.Final_conflict _ -> ()
          | Trace.Event.Learned l ->
            let h =
-             Proof.Kernel.chain_ids kernel ~context ~fetch ~learned_id:l.id
+             Proof.Kernel.chain kernel ~context ~miss ~learned_id:l.id
                l.sources
            in
            Proof.Kernel.define kernel l.id h
          | Trace.Event.Delete ids -> delete ids));
   let pass = Proof.Kernel.stream_finish stream in
   let conf_id = Driver.conflict pass.final_conflict in
-  ignore (Driver.final_chain kernel ~l0 ~fetch conf_id);
+  ignore (Driver.final_chain kernel ~l0 ~miss conf_id);
   Driver.report kernel ~total_learned:pass.total_learned

@@ -15,7 +15,7 @@ let analyze formula source =
   let k = Proof.Kernel.create formula in
   Driver.run @@ fun () ->
   let context = "proof statistics" in
-  let fetch id = Proof.Kernel.find k ~context id in
+  let miss = Proof.Kernel.find k ~context in
   let depth = Hashtbl.create 1024 in
   let defs = Sat.Vec.create ~dummy:(0, [||]) in
   let antes = Sat.Vec.create ~dummy:0 in
@@ -34,8 +34,7 @@ let analyze formula source =
            | Trace.Event.Delete _ -> ()
            | Trace.Event.Learned l ->
              let h =
-               Proof.Kernel.chain_ids k ~context ~fetch ~learned_id:l.id
-                 l.sources
+               Proof.Kernel.chain k ~context ~miss ~learned_id:l.id l.sources
              in
              Proof.Kernel.define k l.id h;
              let w = Proof.Clause_db.size (Proof.Kernel.db k) h in
@@ -52,7 +51,7 @@ let analyze formula source =
   let total = pass.total_learned in
   let conf_id = Driver.conflict pass.final_conflict in
   (* run the final chain for its length and validity *)
-  let chain_len = Driver.final_chain k ~l0 ~fetch conf_id in
+  let chain_len = Driver.final_chain k ~l0 ~miss conf_id in
   {
     learned_total = total;
     learned_needed = Driver.mark_needed (Driver.uses k) ~defs ~antes conf_id;

@@ -50,7 +50,6 @@ type state = {
   live : (int, unit) Hashtbl.t;      (* learned ids resident in the arena *)
   orig_live : (int, unit) Hashtbl.t; (* originals materialised this window *)
   spill : spill;
-  mutable scratch : int array;
   mutable transients : Proof.Clause_db.handle list;
   mutable fill : int;       (* learned records in the current window *)
   mutable windows : int;
@@ -65,10 +64,6 @@ let drained st id =
   Hashtbl.remove st.live id;
   Hashtbl.remove st.orig_live id;
   Hashtbl.remove st.spill.index id
-
-let ensure_scratch st n =
-  if Array.length st.scratch < n then
-    st.scratch <- Array.make (max n (2 * Array.length st.scratch)) 0
 
 (* Shift the window: spill every live learned clause out of the store,
    drop materialised originals (the formula backs them), and start the
@@ -110,33 +105,30 @@ let reload st ~context id =
   match Hashtbl.find_opt st.spill.index id with
   | None -> Proof.Kernel.find st.kernel ~context id (* raises Unknown_clause *)
   | Some (off, n) ->
-    ensure_scratch st n;
+    (* the literals go back in the order they were stored *)
+    let db = Proof.Kernel.db st.kernel in
+    let h = Proof.Clause_db.alloc_slot db n in
+    st.transients <- h :: st.transients;
+    let arena = Proof.Clause_db.arena db and at = Proof.Clause_db.offset h in
     seek_in st.spill.ic off;
     for i = 0 to n - 1 do
-      st.scratch.(i) <- input_binary_int st.spill.ic
+      arena.{at + i} <- input_binary_int st.spill.ic
     done;
     st.reloaded <- st.reloaded + 1;
     if Obs.Journal.on () then
       Obs.Journal.record ~sub:"window" "reload"
         [ ("id", id); ("lits", n); ("reloaded_total", st.reloaded) ];
-    let h =
-      Proof.Clause_db.alloc_sorted (Proof.Kernel.db st.kernel) st.scratch n
-    in
-    st.transients <- h :: st.transients;
     h
 
-(* Clause lookup for pass two and the final chain: arena-resident first,
-   then originals from the formula, then the spill file. *)
-let fetch st ~context id =
-  match Proof.Kernel.peek st.kernel id with
-  | Some h -> h
-  | None ->
-    if Proof.Kernel.is_original st.kernel id then begin
-      let h = Proof.Kernel.find st.kernel ~context id in
-      Hashtbl.replace st.orig_live id ();
-      h
-    end
-    else reload st ~context id
+(* The clauses pass two and the final chain find outside the arena:
+   originals from the formula, learned clauses from the spill file. *)
+let miss st ~context id =
+  if Proof.Kernel.is_original st.kernel id then begin
+    let h = Proof.Kernel.find st.kernel ~context id in
+    Hashtbl.replace st.orig_live id ();
+    h
+  end
+  else reload st ~context id
 
 let drop_transients st =
   let db = Proof.Kernel.db st.kernel in
@@ -166,7 +158,6 @@ let check ?mem_limit ?format ?first_pass ?on_stats ~window formula
       live = Hashtbl.create 256;
       orig_live = Hashtbl.create 256;
       spill = spill_create ();
-      scratch = Array.make 64 0;
       transients = [];
       fill = 0;
       windows = 0;
@@ -206,10 +197,10 @@ let check ?mem_limit ?format ?first_pass ?on_stats ~window formula
   (* pass two: windowed reconstruction with eager frees and spills *)
   Driver.pass_two ~cat:"window" (fun () ->
       Driver.rebuild kernel uses ~context:"breadth-first reconstruction"
-        ~fetch:(fetch st ~context:"breadth-first reconstruction")
+        ~miss:(miss st ~context:"breadth-first reconstruction")
         ~drained:(drained st) ~on_record:(after_record st ~window) ?format
         source;
-      let fetch = fetch st ~context:"empty-clause construction" in
-      ignore (Driver.final_chain kernel ~l0 ~fetch conf_id);
+      let miss = miss st ~context:"empty-clause construction" in
+      ignore (Driver.final_chain kernel ~l0 ~miss conf_id);
       drop_transients st);
   Driver.report kernel ~total_learned:pass.total_learned

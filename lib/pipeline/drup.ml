@@ -6,7 +6,7 @@ let of_trace f source =
   let k = Proof.Kernel.create f in
   let src = Trace.Source.of_cursor ~close_cursor:true (Trace.Reader.cursor source) in
   let context = "drup conversion" in
-  let fetch id = Proof.Kernel.find k ~context id in
+  let miss = Proof.Kernel.find k ~context in
   let order = ref [] in
   try
     let (_ : Proof.Kernel.pass) =
@@ -15,8 +15,7 @@ let of_trace f source =
           match e with
           | Trace.Event.Learned l ->
             let h =
-              Proof.Kernel.chain_ids k ~context ~fetch ~learned_id:l.id
-                l.sources
+              Proof.Kernel.chain k ~context ~miss ~learned_id:l.id l.sources
             in
             Proof.Kernel.define k l.id h;
             order := Proof.Clause_db.lits (Proof.Kernel.db k) h :: !order

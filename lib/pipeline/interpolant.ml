@@ -72,17 +72,45 @@ let compute formula ~a_indices source =
       | Some id -> id
       | None -> D.fail D.Missing_final_conflict
     in
-    (* McMillan's annotation rides the kernel's depth-first traversal *)
-    let spec = {
-      Proof.Kernel.of_original = (fun id lits -> base_itp st id lits);
-      combine = (fun ~pivot i1 i2 -> combine st ~pivot i1 i2);
-    } in
-    let b = Proof.Kernel.builder k ~sources:proof.Proof.Kernel.sources spec in
-    let fetch id = Proof.Kernel.build b id in
-    let root, (_ : int) =
-      Proof.Kernel.final_chain k ~l0:proof.Proof.Kernel.l0 ~fetch
-        ~combine:(fun ~pivot i1 i2 -> combine st ~pivot i1 i2)
+    (* McMillan's annotation follows the kernel's depth-first
+       traversal: each clause's rule folds over the pivots its chain
+       recorded, and an original's base case is taken on first use *)
+    let itps = Hashtbl.create 1024 in
+    let itp id =
+      match Hashtbl.find_opt itps id with
+      | Some i -> i
+      | None ->
+        let h = Proof.Kernel.find k ~context:"interpolation" id in
+        let i = base_itp st id (Proof.Clause_db.lits (Proof.Kernel.db k) h) in
+        Hashtbl.replace itps id i;
+        i
+    in
+    let fold ~pivot ~ante first steps =
+      let acc = ref (itp first) in
+      for i = 0 to steps - 1 do
+        let p = pivot i in
+        acc := combine st ~pivot:p !acc (itp (ante i p))
+      done;
+      !acc
+    in
+    let sources = proof.Proof.Kernel.sources in
+    let on_built id =
+      let srcs = Trace.Idtab.find sources id in
+      Hashtbl.replace itps id
+        (fold ~pivot:(Proof.Kernel.pivot k)
+           ~ante:(fun i _ -> srcs.(i + 1))
+           srcs.(0) (Array.length srcs - 1))
+    in
+    let b = Proof.Kernel.builder ~on_built k ~sources in
+    let l0 = proof.Proof.Kernel.l0 in
+    let steps =
+      Proof.Kernel.final_chain k ~l0 ~miss:(Proof.Kernel.build b)
         ~conflict_id:conf_id
+    in
+    let root =
+      fold ~pivot:(Proof.Kernel.final_pivot k)
+        ~ante:(fun _ p -> Proof.Level0.ante l0 p)
+        conf_id steps
     in
     let shared_vars =
       List.filter (fun v -> in_a.(v) && in_b.(v))

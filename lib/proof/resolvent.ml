@@ -81,9 +81,9 @@ let sort a n =
 (* Per-variable mark bits: [1] and [2] are the phases present in the
    running resolvent, [on_stack] says the variable is already on the
    touched stack (it stays set when the variable is resolved away, until
-   [compact] drops the variable from the stack).  A
-   literal is [var * 2 + sign] (Sat.Lit), decoded inline below: the step
-   loops make no call per literal. *)
+   [blit] drops the variable from the stack).  A literal is
+   [var * 2 + sign] (Sat.Lit), decoded inline below: the step loops make
+   no call per literal. *)
 let on_stack = 4
 
 type t = {
@@ -91,7 +91,7 @@ type t = {
   mutable touched : int array;  (* variables with a mark, in first-touch order *)
   mutable ntouched : int;
   mutable len : int;            (* literals in the running resolvent *)
-  mutable merges : int;         (* merged literals of the last step *)
+  mutable merges : int;         (* merged literals, over every step *)
 }
 
 (* the marks start small: [reserve] grows them to each operand's largest
@@ -109,7 +109,7 @@ let length t = t.len
 let merges t = t.merges
 
 (* grow the marks to cover the operand's largest variable, its last
-   literal's (operands are sorted) *)
+   literal's *)
 let reserve t (arena : arena) off n =
   if n > 0 then begin
     let v = arena.{off + n - 1} lsr 1 in
@@ -136,7 +136,6 @@ let start t (arena : arena) off n =
   done;
   t.ntouched <- 0;
   t.len <- 0;
-  t.merges <- 0;
   reserve t arena off n;
   for i = off to off + n - 1 do
     let l = arena.{i} in
@@ -149,46 +148,47 @@ let start t (arena : arena) off n =
     end
   done
 
-(* drop the variables resolved away from the touched stack and clear
-   their marks, so [blit] sorts only the running resolvent's variables *)
-let compact t =
-  let live = ref 0 in
+(* One walk of the touched stack: drop the variables resolved away
+   (clearing their marks), write each live variable's phases, then swap
+   the largest variable's literal to the end. *)
+let blit t (dst : arena) off =
+  let marks = t.marks and touched = t.touched in
+  let live = ref 0 and k = ref off and top = ref (-1) and at = ref off in
   for i = 0 to t.ntouched - 1 do
-    let v = t.touched.(i) in
-    if Char.code (Bytes.get t.marks v) land 3 <> 0 then begin
-      t.touched.(!live) <- v;
-      incr live
-    end
-    else Bytes.set t.marks v '\000'
-  done;
-  t.ntouched <- !live
-
-let blit t dst =
-  if Array.length dst < t.len then
-    invalid_arg "Resolvent.blit: destination too small";
-  (* sort the live variables, expand each to its phases: variable order
-     is literal order *)
-  compact t;
-  let live = t.ntouched in
-  sort t.touched live;
-  let k = ref 0 in
-  for i = 0 to live - 1 do
-    let v = t.touched.(i) in
-    let m = Char.code (Bytes.get t.marks v) in
-    if m land 1 <> 0 then begin
-      dst.(!k) <- v lsl 1;
-      incr k
-    end;
-    if m land 2 <> 0 then begin
-      dst.(!k) <- (v lsl 1) lor 1;
-      incr k
+    let v = touched.(i) in
+    let m = Char.code (Bytes.get marks v) in
+    if m land 3 = 0 then Bytes.set marks v '\000'
+    else begin
+      touched.(!live) <- v;
+      incr live;
+      if v > !top then begin
+        top := v;
+        at := !k
+      end;
+      if m land 1 <> 0 then begin
+        dst.{!k} <- v lsl 1;
+        incr k
+      end;
+      if m land 2 <> 0 then begin
+        dst.{!k} <- (v lsl 1) lor 1;
+        incr k
+      end
     end
   done;
-  !k
+  t.ntouched <- !live;
+  let last = !k - 1 in
+  if last >= off then begin
+    let l = dst.{!at} in
+    dst.{!at} <- dst.{last};
+    dst.{last} <- l
+  end;
+  !k - off
 
 let to_array t =
-  let a = Array.make t.len 0 in
-  ignore (blit t a);
+  let buf = Bigarray.Array1.create Bigarray.int Bigarray.c_layout t.len in
+  let n = blit t buf 0 in
+  let a = Array.init n (fun i -> buf.{i}) in
+  sort a n;
   a
 
 (* a variable past the marks was never marked *)
@@ -196,11 +196,12 @@ let mem t v =
   v >= 0 && v < Bytes.length t.marks
   && Char.code (Bytes.unsafe_get t.marks v) land 3 <> 0
 
-(* The slow path of a failed step: rebuild the diagnostic, the sorted
-   running resolvent when nothing clashes, else the clashing variables
-   ascending. *)
+(* The slow path of a failed step: rebuild the diagnostic from sorted
+   copies, the running resolvent when nothing clashes, else the clashing
+   variables ascending. *)
 let clash_failure t ~context ~c1_id ~c2_id (arena : arena) off n =
   let c2 = Array.init n (fun i -> arena.{off + i}) in
+  sort c2 n;
   let vars =
     Array.fold_left
       (fun acc l ->
@@ -220,8 +221,10 @@ let clash_failure t ~context ~c1_id ~c2_id (arena : arena) off n =
 let step t ~context ~c1_id ~c2_id (arena : arena) off n =
   reserve t arena off n;
   let marks = t.marks in
-  (* the clash walk: operand literals whose opposite phase is marked; a
-     variable's two phases sit adjacently in the sorted operand *)
+  (* the clash walk: operand literals whose opposite phase is marked,
+     counted when the variable differs from the last one counted.  One
+     clashing variable counts once wherever its phases sit; a second
+     makes the count at least 2. *)
   let pivot = ref 0 and clashes = ref 0 in
   for i = off to off + n - 1 do
     let l = arena.{i} in
@@ -252,5 +255,5 @@ let step t ~context ~c1_id ~c2_id (arena : arena) off n =
   let m = Char.code (Bytes.get marks pivot) in
   t.len <- t.len - (m land 1) - ((m lsr 1) land 1);
   Bytes.set marks pivot (Char.unsafe_chr on_stack);
-  t.merges <- !merges;
+  t.merges <- t.merges + !merges;
   pivot

@@ -188,11 +188,10 @@ let kernel_final p =
   let k = Proof.Kernel.create (l0_formula p) in
   match
     Proof.Kernel.final_chain k ~l0:(l0_records p)
-      ~fetch:(fun id -> (Proof.Kernel.find k ~context:"test" id, []))
-      ~combine:(fun ~pivot ps _ -> pivot :: ps)
+      ~miss:(Proof.Kernel.find k ~context:"test")
       ~conflict_id:(conflict_id p)
   with
-  | pivots, _ -> Ok (List.rev pivots)
+  | steps -> Ok (List.init steps (Proof.Kernel.final_pivot k))
   | exception Proof.Diagnostics.Check_failed d -> Error d
 
 (* The four mutations: two records' orders swapped, a record dropped, an
